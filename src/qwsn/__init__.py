@@ -12,7 +12,6 @@ from .protocol import (
     apply_data_req,
     fit_bootstrap,
     prune_low_energy,
-    record_queue_len,
     tos_decode,
     tos_encode,
 )

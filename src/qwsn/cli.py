@@ -8,8 +8,9 @@ Subcommands:
 * ``compare-pegasis`` ``--scenario FILE --out DIR``: lifetime comparison table
 
 The ``QWSN_SEED`` environment variable (comma list) overrides the scenario's
-seed list.  Exit codes: 0 success, 2 scenario parse/range error, 3 when every
-sweep cell was skipped as unconnectable.
+seed list.  Exit codes: 0 success, 2 parse/range error in the scenario, in
+``QWSN_SEED`` or in the cell arguments (one ``error:`` line on stderr), 3 when
+every sweep cell was skipped as unconnectable.
 """
 
 from __future__ import annotations
@@ -89,13 +90,28 @@ def _load_scenario(path: Path) -> ScenarioConfig:
     scenario = parse_scenario(path.read_text(encoding="utf-8"))
     env_seeds = os.environ.get("QWSN_SEED")
     if env_seeds:
-        scenario.seeds = tuple(int(s) for s in env_seeds.split(","))
+        scenario.seeds = _parse_env_seeds(env_seeds)
     return scenario
 
 
+def _parse_env_seeds(value: str) -> tuple[int, ...]:
+    try:
+        seeds = tuple(int(s) for s in value.split(","))
+        if all(s >= 0 for s in seeds):
+            return seeds
+    except ValueError:
+        pass
+    raise RangeError(
+        f"QWSN_SEED must be a comma list of non-negative integers: {value!r}"
+    )
+
+
 def _cmd_cell(args: argparse.Namespace, with_trace: bool) -> int:
-    scenario = ScenarioConfig()
-    config = sim_config(scenario, args.nodes, args.failure, args.seed)
+    try:
+        config = sim_config(ScenarioConfig(), args.nodes, args.failure, args.seed)
+    except ValueError as exc:  # RangeError included
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     qos = QosClass(args.qos)
     try:
         metrics = simulate_query_round(config, qos, collect_trace=with_trace)

@@ -9,15 +9,14 @@ its transmit-queue length.  Replies (DATA_REP) are then routed back to the
 sink using only this table plus, for the reliable classes, a small path
 construction table maintained in :mod:`qwsn.routing`.
 
-Everything in this module is a plain value: operations take a table and
-return a new table, never mutating their arguments.  That keeps the flood
-update rules trivially testable and lets any number of simulation runs share
-the code without locking.
+Headers and FIT rows are values.  A FIT itself is a node's own mutable
+table: :func:`apply_data_req` updates it in place, because every flood
+reception goes through it.  :func:`prune_low_energy` never changes its
+argument and returns a filtered copy only when it drops a row.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple
@@ -171,10 +170,6 @@ class FloodAction(Enum):
     DROPPED = "dropped"
 
 
-class UnknownNeighborWarning(UserWarning):
-    """Queue-length report for a neighbour that has no FIT entry."""
-
-
 def fit_bootstrap(self_id: int, is_sink: bool = False, energy: float = 0.0) -> Fit:
     """Fresh FIT for a node that has heard nothing yet.
 
@@ -192,7 +187,7 @@ def fit_bootstrap(self_id: int, is_sink: bool = False, energy: float = 0.0) -> F
 
 
 def apply_data_req(fit: Fit, hdr: DataReqHeader) -> tuple[Fit, FloodAction]:
-    """Apply one received DATA_REQ to a FIT.
+    """Apply one received DATA_REQ to a FIT, in place; returns the same FIT.
 
     Let the advertised hop count be L and the node's own be H.  The sender's
     row is upserted unconditionally (energy, hop and forwarders refreshed, a
@@ -210,8 +205,8 @@ def apply_data_req(fit: Fit, hdr: DataReqHeader) -> tuple[Fit, FloodAction]:
     if hdr.sender_hop < 0:
         raise ValueError(f"malformed header: negative hop {hdr.sender_hop}")
 
-    old = fit.entries.get(hdr.sender_id)
-    entries = dict(fit.entries)
+    entries = fit.entries
+    old = entries.get(hdr.sender_id)
     entries[hdr.sender_id] = FitEntry(
         neighbor=hdr.sender_id,
         energy=hdr.sender_energy,
@@ -222,11 +217,11 @@ def apply_data_req(fit: Fit, hdr: DataReqHeader) -> tuple[Fit, FloodAction]:
 
     candidate = min(hdr.sender_hop + 1, HOP_INF)
     if candidate < fit.self_hop:
-        new_fit = replace(fit, self_hop=candidate, entries=entries)
-        return new_fit, FloodAction.UPDATED_AND_REBROADCAST
+        fit.self_hop = candidate
+        return fit, FloodAction.UPDATED_AND_REBROADCAST
     if candidate == fit.self_hop:
-        return replace(fit, entries=entries), FloodAction.RECORDED_AND_REBROADCAST
-    return replace(fit, entries=entries), FloodAction.DROPPED
+        return fit, FloodAction.RECORDED_AND_REBROADCAST
+    return fit, FloodAction.DROPPED
 
 
 class AdvertFields(NamedTuple):
@@ -261,25 +256,3 @@ def prune_low_energy(fit: Fit, e_threshold: float) -> Fit:
         return fit
     return replace(fit, entries=entries)
 
-
-def record_queue_len(fit: Fit, neighbor: int, queue_len: int) -> Fit:
-    """Store a neighbour's reported transmit-queue length in its FIT row.
-
-    Reports for unknown neighbours are ignored with a warning rather than
-    raising; queue information is advisory and arrives asynchronously.
-    """
-    if queue_len < 0:
-        raise ValueError(f"queue length must be non-negative: {queue_len}")
-    entry = fit.entries.get(neighbor)
-    if entry is None:
-        warnings.warn(
-            f"queue report for unknown neighbor {neighbor} at node {fit.self_id}",
-            UnknownNeighborWarning,
-            stacklevel=2,
-        )
-        return fit
-    if entry.queue_len == queue_len:
-        return fit
-    entries = dict(fit.entries)
-    entries[neighbor] = replace(entry, queue_len=queue_len)
-    return replace(fit, entries=entries)

@@ -1,10 +1,11 @@
 """Next-hop and path selection for the four service classes.
 
-All selectors are pure functions over caller-owned tables.  They return
-``None`` when no usable neighbour remains ("no route"); the reliable-class
-selectors additionally return the updated path construction table, since
-choosing a forwarder records it as being on the path for that
-source/destination pair.
+Selectors read the caller's forwarding table and never change it.  They
+return ``None`` when no usable neighbour remains ("no route").  The
+reliable-class selectors also record their pick in the caller's path
+construction table, in place, since choosing a forwarder puts it on the
+path for that source/destination pair; they return that same table next to
+the decision.
 
 Tie-breaking is deterministic throughout: candidates compare by
 ``(ranking key..., hop, node id)`` so identical tables always yield
@@ -13,7 +14,7 @@ identical decisions regardless of insertion order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -34,32 +35,36 @@ class PctEntry(NamedTuple):
     dst: int
 
 
-@dataclass(frozen=True)
+@dataclass
 class Pct:
     """Path construction table: (forwarder, source, destination) rows.
 
-    Rows are unique as triples and kept in arrival order so capacity
-    eviction is oldest-first.
+    ``rows`` is an insertion-ordered dict used as a set, keyed by plain
+    ``(node_id, src, dst)`` tuples (:class:`PctEntry` compares equal to
+    them), so membership is O(1) and capacity eviction is oldest-first.
     """
 
-    rows: tuple[PctEntry, ...] = ()
+    rows: dict[tuple[int, int, int], None] = field(default_factory=dict)
     capacity: int = PCT_CAPACITY
 
 
 def pct_observe(pct: Pct, overheard_forwarder: int, src: int, dst: int) -> Pct:
-    """Record an overheard forwarding event; duplicates are no-ops."""
-    row = PctEntry(overheard_forwarder, src, dst)
-    if row in pct.rows:
-        return pct
-    rows = pct.rows + (row,)
-    if len(rows) > pct.capacity:
-        rows = rows[len(rows) - pct.capacity :]
-    return Pct(rows, pct.capacity)
+    """Record an overheard forwarding event in place and return the table.
+
+    Duplicates are no-ops; a new row past capacity evicts the oldest one.
+    """
+    rows = pct.rows
+    row = (overheard_forwarder, src, dst)
+    if row not in rows:
+        rows[row] = None
+        if len(rows) > pct.capacity:
+            del rows[next(iter(rows))]
+    return pct
 
 
 def _pct_blocks(pct: Pct, node_id: int, src: int, dst: int) -> bool:
     """True when the PCT already places ``node_id`` on the (src, dst) path."""
-    return PctEntry(node_id, src, dst) in pct.rows
+    return (node_id, src, dst) in pct.rows
 
 
 class Rationale(Enum):

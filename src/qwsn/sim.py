@@ -103,6 +103,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"need at least two nodes, got {self.n}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative: {self.seed}")
         if self.side <= 0:
             raise ValueError(f"deployment side must be positive: {self.side}")
         if not (0 < self.short_range < self.long_range):
@@ -363,13 +365,6 @@ class RunMetrics:
         delivered = {c.source for c in self.copies if c.delivered}
         return len(delivered) / len(dispatched)
 
-    @property
-    def copy_delivery_rate(self) -> float:
-        """Per-copy delivery fraction (replies delivered over replies sent)."""
-        if self.replies_sent == 0:
-            return 0.0
-        return self.replies_delivered / self.replies_sent
-
 
 @dataclass
 class _FloodTx:
@@ -539,12 +534,10 @@ class Simulation:
         so all headers within one flood advertise start-of-round energy.
         """
         for node in self.nodes:
-            node.fit = replace(
-                node.fit,
-                self_hop=0 if node.id == SINK else HOP_INF,
-                self_energy=node.energy,
-                self_queue_len=node.queue_len,
-            )
+            fit = node.fit
+            fit.self_hop = 0 if node.id == SINK else HOP_INF
+            fit.self_energy = node.energy
+            fit.self_queue_len = node.queue_len
             node.has_broadcast = False
             node.flood_pending = False
         self._schedule(self.now, EventKind.QUERY_START, SINK, query_id)
@@ -570,13 +563,14 @@ class Simulation:
         node.tx_end = self.now + self.config.service_time
         self._schedule(node.tx_end, EventKind.QUEUE_SERVICE, node.id)
         self.flood_broadcasts += 1
-        self._trace(
-            "broadcast",
-            node.id,
-            -1,
-            job.query_id,
-            f"hop={hdr.sender_hop} energy={hdr.sender_energy:.9f}",
-        )
+        if self._trace_lines is not None:
+            self._trace(
+                "broadcast",
+                node.id,
+                -1,
+                job.query_id,
+                f"hop={hdr.sender_hop} energy={hdr.sender_energy:.9f}",
+            )
         for nbr in self.topology.neighbors(node.id, self.active_range):
             if self.nodes[nbr].alive:
                 self._schedule(node.tx_end, EventKind.BROADCAST_ARRIVE, nbr, hdr)
@@ -591,9 +585,10 @@ class Simulation:
         old_hop = node.fit.self_hop
         node.fit, action = apply_data_req(node.fit, hdr)
         assert node.fit.self_hop <= old_hop, "hop estimate must never worsen"
-        self._trace(
-            "flood_rx", hdr.sender_id, node_id, hdr.query_id, action.value
-        )
+        if self._trace_lines is not None:
+            self._trace(
+                "flood_rx", hdr.sender_id, node_id, hdr.query_id, action.value
+            )
         wants_rebroadcast = action is FloodAction.UPDATED_AND_REBROADCAST or (
             action is FloodAction.RECORDED_AND_REBROADCAST and not node.has_broadcast
         )
@@ -706,7 +701,7 @@ class Simulation:
                 copies.append(copy)
                 self._enqueue_tx(node, _ReplyTx(copy))
             for first in firsts:
-                node.pct = pct_observe(node.pct, first, src_id, SINK)
+                pct_observe(node.pct, first, src_id, SINK)
         elif self.qos is QosClass.DELAY_RELIABLE:
             paths = paths_delay_reliable(self._queue_view(node))
             if paths is None:
@@ -723,7 +718,7 @@ class Simulation:
                 copies.append(copy)
                 self._enqueue_tx(node, _ReplyTx(copy))
             for first in firsts:
-                node.pct = pct_observe(node.pct, first, src_id, SINK)
+                pct_observe(node.pct, first, src_id, SINK)
         else:
             # Normal and delay-sensitive classes send their copies one after
             # another, each routed afresh when it reaches the radio.
@@ -734,20 +729,27 @@ class Simulation:
         return copies
 
     def _queue_view(self, node: NodeState, exclude: frozenset[int] = frozenset()) -> Fit:
-        """FIT with every neighbour's current transmit-queue length filled in.
+        """The node's FIT with every neighbour's current queue length filled in.
 
         Queue lengths are read from the neighbours' live state at selection
         time, which stands in for the periodic queue-occupancy broadcasts.
+        They are written into the node's own rows, replacing only the rows
+        whose length changed, so ``FitEntry.queue_len`` is current only right
+        after this call.  With ``exclude`` non-empty the result is a filtered
+        copy; otherwise it is the node's FIT itself.
         """
-        entries = {}
-        for nbr, entry in node.fit.entries.items():
-            if nbr in exclude:
-                continue
-            qlen = self.nodes[nbr].queue_len
-            entries[nbr] = (
-                entry if entry.queue_len == qlen else replace(entry, queue_len=qlen)
-            )
-        return replace(node.fit, entries=entries)
+        nodes = self.nodes
+        entries = node.fit.entries
+        for nbr, entry in entries.items():
+            qlen = nodes[nbr].queue_len
+            if entry.queue_len != qlen:
+                entries[nbr] = replace(entry, queue_len=qlen)
+        if not exclude:
+            return node.fit
+        return replace(
+            node.fit,
+            entries={n: e for n, e in entries.items() if n not in exclude},
+        )
 
     def _route(self, node: NodeState, copy: ReplyCopy) -> RouteDecision | None:
         hdr = copy.hdr
@@ -806,7 +808,7 @@ class Simulation:
         selector = (
             next_hop_delay_reliable_intermediate if by_wait else next_hop_reliable
         )
-        decision, node.pct = selector(
+        decision, _ = selector(
             fit, node.pct, hdr.src, hdr.dst, frozenset(base | backward | tried)
         )
         if decision is None:
@@ -842,7 +844,7 @@ class Simulation:
                 return None
             pick = backs[0]
             rationale = Rationale.BACKTRACK
-        node.pct = pct_observe(node.pct, pick, hdr.src, hdr.dst)
+        pct_observe(node.pct, pick, hdr.src, hdr.dst)
         return RouteDecision(pick, rationale)
 
     def _reliable_fallback(
@@ -873,7 +875,7 @@ class Simulation:
         for pool in pools:
             if pool:
                 pick = min(pool, key=rank)
-                node.pct = pct_observe(node.pct, pick.neighbor, hdr.src, hdr.dst)
+                pct_observe(node.pct, pick.neighbor, hdr.src, hdr.dst)
                 return RouteDecision(pick.neighbor, Rationale.FALLBACK)
         return None
 
@@ -928,13 +930,14 @@ class Simulation:
             target,
             (node.id, copy, with_ack, rationale is Rationale.BACKTRACK),
         )
-        self._trace(
-            "unicast",
-            node.id,
-            target,
-            copy.hdr.query_id,
-            f"src={copy.hdr.src} copy={copy.hdr.copy_index} ttl={copy.hdr.ttl}",
-        )
+        if self._trace_lines is not None:
+            self._trace(
+                "unicast",
+                node.id,
+                target,
+                copy.hdr.query_id,
+                f"src={copy.hdr.src} copy={copy.hdr.copy_index} ttl={copy.hdr.ttl}",
+            )
         return True
 
     def _on_unicast_arrive(self, receiver_id: int, data: tuple) -> None:
@@ -943,12 +946,11 @@ class Simulation:
         if self.qos in _RELIABLE_CLASSES:
             # The header is overheard across the sender's neighbourhood and
             # feeds the path construction tables of the reliable classes.
+            nodes, src, dst = self.nodes, copy.hdr.src, copy.hdr.dst
             for overhearer in self.topology.neighbors(sender_id, self.active_range):
-                onode = self.nodes[overhearer]
+                onode = nodes[overhearer]
                 if onode.alive:
-                    onode.pct = pct_observe(
-                        onode.pct, sender_id, copy.hdr.src, copy.hdr.dst
-                    )
+                    pct_observe(onode.pct, sender_id, src, dst)
         received = receiver.alive and self._debit(receiver, self._rx_cost)
         if not received:
             copy.failures_seen += 1
@@ -1007,22 +1009,16 @@ class Simulation:
         if delivered:
             assert copy.latency_epoch is not None
             copy.latency = self.now - copy.latency_epoch
-            self._trace(
-                "delivered",
-                copy.hdr.src,
-                copy.hdr.dst,
-                copy.hdr.query_id,
-                f"copy={copy.hdr.copy_index} latency={copy.latency:.9f}",
-            )
         else:
             copy.drop_reason = reason
-            self._trace(
-                "dropped",
-                copy.hdr.src,
-                copy.hdr.dst,
-                copy.hdr.query_id,
-                f"copy={copy.hdr.copy_index} reason={reason}",
-            )
+        if self._trace_lines is not None:
+            if delivered:
+                kind = "delivered"
+                detail = f"copy={copy.hdr.copy_index} latency={copy.latency:.9f}"
+            else:
+                kind = "dropped"
+                detail = f"copy={copy.hdr.copy_index} reason={reason}"
+            self._trace(kind, copy.hdr.src, copy.hdr.dst, copy.hdr.query_id, detail)
 
     # ------------------------------------------------------------------
     # public primitives
@@ -1037,7 +1033,7 @@ class Simulation:
         its FIT.
         """
         copy = self._new_copy(sender_id, 0, 0, receiver_id, None, self.now)
-        copy.hdr = replace_dst(copy.hdr, receiver_id)
+        copy.hdr = replace(copy.hdr, dst=receiver_id)
         copy.single_hop = True
         self._enqueue_tx(self.nodes[sender_id], _ReplyTx(copy))
         self._drain()
@@ -1107,18 +1103,6 @@ class Simulation:
             energy_residual=sum(node.energy for node in self.nodes),
             trace=tuple(self._trace_lines) if self._trace_lines is not None else None,
         )
-
-
-def replace_dst(hdr: DataRepHeader, dst: int) -> DataRepHeader:
-    return DataRepHeader(
-        src=hdr.src,
-        dst=dst,
-        query_id=hdr.query_id,
-        copy_index=hdr.copy_index,
-        path_id=hdr.path_id,
-        prev_hop=hdr.prev_hop,
-        ttl=hdr.ttl,
-    )
 
 
 def simulate_query_round(

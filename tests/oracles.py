@@ -161,6 +161,21 @@ def oracle_next_hop_delay_reliable(fit, pct_rows, src, dst, excluded=frozenset()
     return None
 
 
+def reference_pct_observe(rows, overheard_forwarder, src, dst, capacity):
+    """Value-semantics path table: a new tuple of rows per new row.
+
+    Duplicates leave the rows unchanged; past ``capacity`` only the newest
+    ``capacity`` rows are kept.
+    """
+    row = (overheard_forwarder, src, dst)
+    if row in rows:
+        return rows
+    rows = rows + (row,)
+    if len(rows) > capacity:
+        rows = rows[len(rows) - capacity :]
+    return rows
+
+
 def enumerate_tables(max_size, hop_values, energy_values, queue_values, forwarder_pools):
     """Yield fits over ids 1..max_size with every attribute combination.
 
@@ -306,13 +321,18 @@ def check_pct_selector_equivalence(max_size=4):
     ):
         ids = sorted(fit.entries)
         for rows in all_pct_row_sets(ids, _SRC, _DST, _OTHER):
-            pct = Pct()
-            for node_id, s, d in rows:
-                pct = pct_observe(pct, node_id, s, d)
-            got, _ = next_hop_reliable(fit, pct, _SRC, _DST)
+
+            def fresh_pct():
+                # a selector records its pick in the table it is given
+                pct = Pct()
+                for node_id, s, d in rows:
+                    pct_observe(pct, node_id, s, d)
+                return pct
+
+            got, _ = next_hop_reliable(fit, fresh_pct(), _SRC, _DST)
             expected = oracle_next_hop_reliable(fit, rows, _SRC, _DST)
             assert (got.next_hop if got else None) == expected, (fit, rows)
-            got, _ = next_hop_delay_reliable_intermediate(fit, pct, _SRC, _DST)
+            got, _ = next_hop_delay_reliable_intermediate(fit, fresh_pct(), _SRC, _DST)
             expected = oracle_next_hop_delay_reliable(fit, rows, _SRC, _DST)
             assert (got.next_hop if got else None) == expected, (fit, rows)
             count += 1

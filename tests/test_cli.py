@@ -7,6 +7,19 @@ from qwsn.harness import CSV_HEADER
 TINY_SWEEP = "sizes=12\nqos=normal\nseeds=0,1\n"
 
 
+def _assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def _sweep_tiny(tmp_path):
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(TINY_SWEEP)
+    return main(["sweep", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+
+
 class TestRun:
     def test_run_writes_single_row_csv(self, tmp_path, capsys):
         out = tmp_path / "row.csv"
@@ -18,6 +31,14 @@ class TestRun:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 2
         assert "delivered=" in capsys.readouterr().out
+
+    def test_too_few_nodes_exits_2(self, capsys):
+        assert main(["run", "--nodes", "1"]) == EXIT_PARSE
+        _assert_one_error_line(capsys)
+
+    def test_failure_fraction_out_of_range_exits_2(self, capsys):
+        assert main(["run", "--failure", "1.5"]) == EXIT_PARSE
+        _assert_one_error_line(capsys)
 
     def test_trace_writes_event_dump(self, tmp_path):
         trace = tmp_path / "events.tsv"
@@ -67,6 +88,17 @@ class TestSweep:
         rows = (out / "metrics.csv").read_text().splitlines()[1:]
         assert len(rows) == 1
         assert rows[0].split(",")[3] == "5"
+
+    def test_malformed_env_seed_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("QWSN_SEED", "a,b")
+        assert _sweep_tiny(tmp_path) == EXIT_PARSE
+        _assert_one_error_line(capsys)
+
+    def test_negative_env_seed_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("QWSN_SEED", "-1")
+        assert _sweep_tiny(tmp_path) == EXIT_PARSE
+        _assert_one_error_line(capsys)
+        assert not (tmp_path / "o").exists()
 
     def test_unconnectable_only_sweep_exits_3(self, tmp_path, monkeypatch):
         import qwsn.cli as cli

@@ -1,6 +1,6 @@
 """Table types, flood update rules and header codecs."""
 
-import copy
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,12 +13,10 @@ from qwsn.protocol import (
     FitEntry,
     FloodAction,
     QosClass,
-    UnknownNeighborWarning,
     advert_from_fit,
     apply_data_req,
     fit_bootstrap,
     prune_low_energy,
-    record_queue_len,
     tos_decode,
     tos_encode,
 )
@@ -75,8 +73,9 @@ class TestApplyDataReq:
 
     def test_upsert_refreshes_fields_but_keeps_queue(self):
         fit = fit_bootstrap(7)
-        fit, _ = apply_data_req(fit, hdr(3, 4, energy=0.5, forwarders=(1,)))
-        fit = record_queue_len(fit, 3, 6)
+        fit.entries[3] = FitEntry(
+            neighbor=3, energy=0.5, hop=4, forwarders=(1,), queue_len=6
+        )
         fit, _ = apply_data_req(fit, hdr(3, 2, energy=0.4, forwarders=(2,)))
         e = fit.entries[3]
         assert (e.hop, e.energy, e.forwarders) == (2, 0.4, (2,))
@@ -90,12 +89,35 @@ class TestApplyDataReq:
         with pytest.raises(ValueError):
             hdr(3, -1)
 
-    def test_inputs_not_mutated(self):
+    @given(
+        start_hop=st.sampled_from([1, 4, HOP_INF]),
+        known=st.dictionaries(
+            st.integers(min_value=1, max_value=6),
+            st.tuples(st.integers(min_value=0, max_value=6), st.integers(0, 3)),
+            max_size=4,
+        ),
+        sender=st.integers(min_value=1, max_value=6),
+        sender_hop=st.integers(min_value=0, max_value=6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_in_place_update_matches_copy_rule(self, start_hop, known, sender, sender_hop):
         fit = fit_bootstrap(7)
-        fit.self_hop = 4
-        snapshot = copy.deepcopy(fit)
-        apply_data_req(fit, hdr(3, 1))
-        assert fit == snapshot
+        fit.self_hop = start_hop
+        for n, (hop, queue_len) in known.items():
+            fit.entries[n] = FitEntry(n, 0.25, hop, queue_len=queue_len)
+        # the rule as a value: copy the rows, upsert the sender keeping its
+        # queue length, lower the own hop count on a strictly shorter route
+        old = fit.entries.get(sender)
+        rows = dict(fit.entries)
+        rows[sender] = FitEntry(
+            sender, 0.5, sender_hop, queue_len=old.queue_len if old else 0
+        )
+        expected = replace(
+            fit, self_hop=min(start_hop, sender_hop + 1), entries=rows
+        )
+        out, _ = apply_data_req(fit, hdr(sender, sender_hop))
+        assert out is fit
+        assert out == expected
 
     def test_unreachable_sender_cannot_improve_anyone(self):
         # a header carrying the sentinel clamps instead of wrapping the
@@ -206,21 +228,6 @@ class TestPrune:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             prune_low_energy(fit_bootstrap(1), -1.0)
-
-
-class TestQueueLen:
-    def test_set_and_idempotent(self):
-        fit = fit_bootstrap(9)
-        fit, _ = apply_data_req(fit, hdr(3, 1))
-        fit2 = record_queue_len(fit, 3, 5)
-        assert fit2.entries[3].queue_len == 5
-        assert record_queue_len(fit2, 3, 5).entries == fit2.entries
-
-    def test_unknown_neighbor_warns_and_is_noop(self):
-        fit = fit_bootstrap(9)
-        with pytest.warns(UnknownNeighborWarning):
-            out = record_queue_len(fit, 55, 2)
-        assert out.entries == fit.entries
 
 
 class TestTosCodec:

@@ -18,6 +18,7 @@ from oracles import (
     oracle_next_hop_reliable,
     oracle_paths_delay_reliable,
     oracle_primary_reliable,
+    reference_pct_observe,
 )
 from qwsn.routing import (
     PCT_CAPACITY,
@@ -145,7 +146,7 @@ class TestAlternatesReliable:
 class TestPct:
     def test_insert(self):
         pct = pct_observe(Pct(), 5, SRC, DST)
-        assert pct.rows == (PctEntry(5, SRC, DST),)
+        assert tuple(pct.rows) == (PctEntry(5, SRC, DST),)
 
     def test_duplicate_is_noop(self):
         pct = pct_observe(Pct(), 5, SRC, DST)
@@ -155,15 +156,39 @@ class TestPct:
         pct = Pct()
         for i in range(PCT_CAPACITY + 1):
             pct = pct_observe(pct, i, SRC, DST)
-        assert len(pct.rows) == PCT_CAPACITY
-        assert pct.rows[0] == PctEntry(1, SRC, DST)  # row 0 evicted
-        assert pct.rows[-1] == PctEntry(PCT_CAPACITY, SRC, DST)
+        rows = tuple(pct.rows)
+        assert len(rows) == PCT_CAPACITY
+        assert rows[0] == PctEntry(1, SRC, DST)  # row 0 evicted
+        assert rows[-1] == PctEntry(PCT_CAPACITY, SRC, DST)
 
     def test_rows_unique(self):
         pct = Pct()
         for _ in range(5):
             pct = pct_observe(pct, 1, SRC, DST)
         assert len(pct.rows) == 1
+
+    @given(
+        capacity=st.sampled_from([1, 3, PCT_CAPACITY]),
+        steps=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=47),
+                st.integers(min_value=0, max_value=2),
+                st.integers(min_value=0, max_value=1),
+            ),
+            min_size=2 * PCT_CAPACITY,
+            max_size=160,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_in_place_matches_tuple_reference(self, capacity, steps):
+        # at least 128 steps over 288 possible rows: rows repeat, and the
+        # distinct ones usually outnumber even the default capacity
+        pct = Pct(capacity=capacity)
+        reference = ()
+        for node_id, src, dst in steps:
+            assert pct_observe(pct, node_id, src, dst) is pct
+            reference = reference_pct_observe(reference, node_id, src, dst, capacity)
+            assert tuple(pct.rows) == reference
 
 
 class TestNextHopReliable:
