@@ -1,91 +1,47 @@
 #!/usr/bin/env python3
-"""Reproduce the full experiment set and write plot-ready outputs.
+"""Reproduce the full experiment set from the shipped scenario files.
 
-Three batches:
-
-1. energy/latency sweep: sizes 50..150, all four service classes, no
-   failures (fig4 energy-vs-size, fig5 latency-vs-size);
-2. reliability sweep: sizes 50..125 with 10 % and 20 % failed nodes
-   (fig6/fig7 delivery-vs-size);
-3. lifetime comparison of the delay+reliable class against chained
-   gathering, 100 nodes on 50 m x 50 m with the collection point outside
-   the field (fig8 lifetime-vs-failure-fraction).
-
-Everything is seeded; re-running writes byte-identical files.
+Runs ``qwsn sweep`` on ``scenarios/energy_latency.txt`` (fig4/fig5) and
+``scenarios/reliability.txt`` (fig6/fig7), and ``qwsn compare-pegasis`` on
+``scenarios/lifetime.txt`` (fig8), writing each into ``OUT/<scenario>/``.
+The scenario files carry every parameter; ``QWSN_SEED`` overrides their
+seed lists as it does for ``qwsn``.  Re-running writes byte-identical files.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
-from qwsn.harness import (  # noqa: E402
-    QOS_ORDER,
-    ScenarioConfig,
-    compare_config,
-    emit_comparison_csv,
-    emit_comparison_series,
-    emit_csv,
-    emit_means_csv,
-    emit_series,
-    run_sweep,
+from qwsn.cli import main as qwsn  # noqa: E402
+
+RUNS = (
+    ("sweep", "energy_latency"),
+    ("sweep", "reliability"),
+    ("compare-pegasis", "lifetime"),
 )
-from qwsn.pegasis import compare_case4  # noqa: E402
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=Path, default=Path("results"))
-    parser.add_argument("--seeds", type=int, default=10, help="topologies per cell")
-    parser.add_argument(
-        "--compare-e-init",
-        type=float,
-        default=0.05,
-        help="battery for the lifetime comparison (smaller runs faster)",
-    )
     args = parser.parse_args()
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    seeds = tuple(range(args.seeds))
-
-    print("== energy/latency sweep (no failures) ==")
-    scenario = ScenarioConfig(
-        sizes=(50, 75, 100, 125, 150), qos=QOS_ORDER, failures=(0.0,), seeds=seeds
-    )
-    table = run_sweep(scenario)
-    emit_csv(table, out / "energy_latency_metrics.csv")
-    emit_means_csv(table, out / "energy_latency_means.csv")
-    emit_series(table, "fig4", out / "fig4.tsv")
-    emit_series(table, "fig5", out / "fig5.tsv")
-    print(f"  {len(table.rows)} rows")
-
-    print("== reliability sweep (10%/20% failures) ==")
-    scenario = ScenarioConfig(
-        sizes=(50, 75, 100, 125), qos=QOS_ORDER, failures=(0.1, 0.2), seeds=seeds
-    )
-    table = run_sweep(scenario)
-    emit_csv(table, out / "reliability_metrics.csv")
-    emit_means_csv(table, out / "reliability_means.csv")
-    emit_series(table, "fig6", out / "fig6.tsv")
-    emit_series(table, "fig7", out / "fig7.tsv")
-    print(f"  {len(table.rows)} rows")
-
-    print("== lifetime comparison against chained gathering ==")
-    scenario = ScenarioConfig(seeds=seeds, compare_e_init=args.compare_e_init)
-    rows = compare_case4(
-        compare_config(scenario, scenario.seeds[0]),
-        scenario.compare_fractions,
-        bs_position=(scenario.bs_x, scenario.bs_y),
-    )
-    emit_comparison_csv(rows, out / "pegasis_comparison.csv")
-    emit_comparison_series(rows, out / "fig8.tsv")
-    for row in rows:
-        print(
-            f"  f={row.failure_fraction:g}: case4={row.lifetime_case4} "
-            f"pegasis={row.lifetime_pegasis}"
+    for command, scenario in RUNS:
+        print(f"== {command} {scenario} ==", flush=True)
+        code = qwsn(
+            [
+                command,
+                "--scenario",
+                str(ROOT / "scenarios" / f"{scenario}.txt"),
+                "--out",
+                str(args.out / scenario),
+            ]
         )
-    print(f"outputs in {out}/")
+        if code != 0:
+            return code
+    print(f"outputs in {args.out}/")
     return 0
 
 

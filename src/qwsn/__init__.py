@@ -43,7 +43,6 @@ from .sim import (
     rx_energy,
     simulate_query_round,
     tx_energy,
-    waiting_time,
 )
 
 __version__ = "0.1.0"

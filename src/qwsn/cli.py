@@ -126,20 +126,7 @@ def _cmd_cell(args: argparse.Namespace, with_trace: bool) -> int:
         f"avg_latency={metrics.avg_latency:.9f} s"
     )
     if args.out is not None:
-        table = harness.MetricsTable(
-            rows=[
-                harness.MetricsRow(
-                    qos=qos,
-                    n=config.n,
-                    failure_fraction=config.failure_fraction,
-                    seed=config.seed,
-                    avg_dissipated_energy_j=metrics.avg_dissipated_energy,
-                    avg_latency_s=metrics.avg_latency,
-                    delivery_probability=metrics.delivery_probability,
-                )
-            ]
-        )
-        emit_csv(table, args.out)
+        emit_csv(harness.MetricsTable(rows=[harness.metrics_row(metrics)]), args.out)
     if with_trace:
         args.trace.write_text(format_trace(metrics.trace), encoding="utf-8")
         print(f"trace written to {args.trace}")

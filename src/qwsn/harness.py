@@ -16,7 +16,7 @@ seed) regardless of execution order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -240,22 +240,11 @@ def sim_config(
 
 def compare_config(scenario: ScenarioConfig, seed: int) -> SimConfig:
     """Config for the lifetime comparison (fixed area, long reach)."""
-    return SimConfig(
-        n=scenario.compare_n,
+    return replace(
+        sim_config(scenario, scenario.compare_n, 0.0, seed),
         side=scenario.compare_side,
-        short_range=scenario.short_range,
         long_range=scenario.compare_range,
-        seed=seed,
         e_init=scenario.compare_e_init,
-        e_threshold=scenario.e_threshold,
-        e_elec=scenario.e_elec,
-        eps_amp=scenario.eps_amp,
-        packet_bits=scenario.packet_bits,
-        service_time=scenario.service_time,
-        ack_timeout=scenario.ack_timeout,
-        copies_per_query=scenario.copies,
-        sources=scenario.sources,
-        ttl=scenario.ttl,
     )
 
 
@@ -268,6 +257,20 @@ class MetricsRow:
     avg_dissipated_energy_j: float
     avg_latency_s: float
     delivery_probability: float
+
+
+def metrics_row(metrics: RunMetrics) -> MetricsRow:
+    """The emitted row of one run."""
+    config = metrics.config
+    return MetricsRow(
+        qos=metrics.qos,
+        n=config.n,
+        failure_fraction=config.failure_fraction,
+        seed=config.seed,
+        avg_dissipated_energy_j=metrics.avg_dissipated_energy,
+        avg_latency_s=metrics.avg_latency,
+        delivery_probability=metrics.delivery_probability,
+    )
 
 
 @dataclass(frozen=True)
@@ -322,17 +325,7 @@ def run_sweep(scenario: ScenarioConfig, keep_runs: bool = False) -> MetricsTable
                     except TopologyUnconnectable:
                         table.skipped.append((qos, n, fraction, seed))
                         continue
-                    table.rows.append(
-                        MetricsRow(
-                            qos=qos,
-                            n=n,
-                            failure_fraction=fraction,
-                            seed=seed,
-                            avg_dissipated_energy_j=metrics.avg_dissipated_energy,
-                            avg_latency_s=metrics.avg_latency,
-                            delivery_probability=metrics.delivery_probability,
-                        )
-                    )
+                    table.rows.append(metrics_row(metrics))
                     if keep_runs:
                         table.runs[(qos, n, fraction, seed)] = metrics
     for qos in scenario.qos:

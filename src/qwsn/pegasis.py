@@ -25,11 +25,11 @@ import numpy as np
 
 from .protocol import QosClass
 from .sim import (
-    _FAILURE_STREAM,
     SimConfig,
     Simulation,
     Topology,
     build_topology,
+    draw_failures,
     rx_energy,
     tx_energy,
 )
@@ -104,18 +104,6 @@ def chain_length(positions: np.ndarray, chain: Sequence[int]) -> float:
     )
 
 
-def _draw_failures(config: SimConfig, failure_fraction: float) -> tuple[int, ...]:
-    """Same stream and eligibility as the query protocol's compare runs."""
-    count = math.floor(failure_fraction * (config.n - 1))
-    eligible = list(range(1, config.n))
-    count = min(count, len(eligible))
-    if count == 0:
-        return ()
-    rng = np.random.default_rng([config.seed, _FAILURE_STREAM])
-    picks = rng.choice(np.asarray(eligible), size=count, replace=False)
-    return tuple(sorted(int(p) for p in picks))
-
-
 def run_pegasis_lifetime(
     config: SimConfig,
     failure_fraction: float = 0.0,
@@ -138,7 +126,10 @@ def run_pegasis_lifetime(
     alive = [True] * n
     dissipated = 0.0
 
-    failed = _draw_failures(config, failure_fraction)
+    # Only the sink is exempt, as in the query protocol's lifetime runs.
+    failed = draw_failures(
+        replace(config, failure_fraction=failure_fraction), range(1, n)
+    )
     for i in failed:
         alive[i] = False
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import NamedTuple
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .protocol import Fit, FitEntry
 
@@ -160,36 +161,6 @@ def alternates_reliable(fit: Fit, primary: int) -> tuple[int, ...]:
     return tuple(e.neighbor for e in others[:2])
 
 
-def next_hop_reliable(
-    fit: Fit,
-    pct: Pct,
-    src: int,
-    dst: int,
-    excluded: frozenset[int] | set[int] = frozenset(),
-) -> tuple[RouteDecision | None, Pct]:
-    """PCT-checked least-hop selection used at reliable-class intermediates.
-
-    The least-hop neighbour is taken unless the local PCT already records it
-    on the path of this very (src, dst) pair, in which case it is excluded
-    and the search repeats; appearing on other pairs' paths is fine.  The
-    chosen forwarder is recorded in the PCT before returning.
-    """
-    remaining = {n: e for n, e in fit.entries.items() if n not in excluded}
-    skipped = False
-    while remaining:
-        pick = min(remaining.values(), key=_by_hop_id)
-        if _pct_blocks(pct, pick.neighbor, src, dst):
-            del remaining[pick.neighbor]
-            skipped = True
-            continue
-        rationale = Rationale.ALTERNATE_RELIABLE if skipped else Rationale.PRIMARY_RELIABLE
-        return (
-            RouteDecision(pick.neighbor, rationale),
-            pct_observe(pct, pick.neighbor, src, dst),
-        )
-    return None, pct
-
-
 def next_hop_delay(fit: Fit) -> RouteDecision | None:
     """Minimum-waiting-time pick among the three least-hop neighbours.
 
@@ -221,32 +192,49 @@ def paths_delay_reliable(fit: Fit) -> PathSet | None:
     return PathSet(primary.neighbor, (alternate.neighbor,))
 
 
-def next_hop_delay_reliable_intermediate(
+def _next_hop_pct_checked(
     fit: Fit,
     pct: Pct,
     src: int,
     dst: int,
     excluded: frozenset[int] | set[int] = frozenset(),
+    *,
+    rank: Callable[[FitEntry], tuple],
+    first: Rationale,
 ) -> tuple[RouteDecision | None, Pct]:
-    """PCT-checked selection ranked by waiting time instead of hop count.
+    """PCT-checked selection used at reliable-class intermediates.
 
-    Control flow mirrors :func:`next_hop_reliable`; hop count and node id
-    only break waiting-time ties.
+    The best-ranked neighbour is taken unless the local PCT already records
+    it on the path of this very (src, dst) pair, in which case it is excluded
+    and the search repeats; appearing on other pairs' paths is fine.  The
+    pick's rationale is ``first`` if no neighbour was skipped, else
+    ``ALTERNATE_RELIABLE``.  The chosen forwarder is recorded in the PCT
+    before returning.
     """
     remaining = {n: e for n, e in fit.entries.items() if n not in excluded}
     skipped = False
     while remaining:
-        pick = min(remaining.values(), key=_by_wait_hop_id)
+        pick = min(remaining.values(), key=rank)
         if _pct_blocks(pct, pick.neighbor, src, dst):
             del remaining[pick.neighbor]
             skipped = True
             continue
-        rationale = Rationale.ALTERNATE_RELIABLE if skipped else Rationale.MIN_WAIT
+        rationale = Rationale.ALTERNATE_RELIABLE if skipped else first
         return (
             RouteDecision(pick.neighbor, rationale),
             pct_observe(pct, pick.neighbor, src, dst),
         )
     return None, pct
+
+
+# Plain reliable class: least hop first.
+next_hop_reliable = partial(
+    _next_hop_pct_checked, rank=_by_hop_id, first=Rationale.PRIMARY_RELIABLE
+)
+# Hybrid class: least waiting time first; hop count and id break ties.
+next_hop_delay_reliable_intermediate = partial(
+    _next_hop_pct_checked, rank=_by_wait_hop_id, first=Rationale.MIN_WAIT
+)
 
 
 def remove_failed(fit: Fit, neighbor: int) -> Fit:

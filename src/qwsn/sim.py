@@ -131,6 +131,26 @@ class SimConfig:
         return self.ttl if self.ttl is not None else 4 * self.n
 
 
+def seeded_draw(key: Sequence[int], pool: Sequence[int], k: int) -> tuple[int, ...]:
+    """Up to ``k`` distinct members of ``pool``, sorted, drawn from the
+    substream ``key``: the seed, a stream number and any further indices."""
+    k = min(k, len(pool))
+    if k == 0:
+        return ()
+    picks = np.random.default_rng(key).choice(np.asarray(pool), size=k, replace=False)
+    return tuple(sorted(int(p) for p in picks))
+
+
+def draw_failures(config: SimConfig, eligible: Sequence[int]) -> tuple[int, ...]:
+    """The injected failures: ``floor(fraction * (n - 1))`` of ``eligible``.
+
+    The draw does not depend on the service class, so every class and the
+    chain baseline face the same failure set.
+    """
+    count = math.floor(config.failure_fraction * (config.n - 1))
+    return seeded_draw([config.seed, _FAILURE_STREAM], eligible, count)
+
+
 def tx_energy(bits: int, distance: float, e_elec: float, eps_amp: float) -> float:
     """Transmit cost: electronics plus distance-squared amplifier term."""
     if bits <= 0:
@@ -237,7 +257,15 @@ class EventKind(Enum):
 
 @dataclass
 class ReplyCopy:
-    """Runtime state of one DATA_REP copy, including its audit trail."""
+    """Runtime state of one DATA_REP copy, including its audit trail.
+
+    ``forwarded`` maps a node id to the next hops that node has already used
+    for this copy; the reliable classes never reuse such an edge, except for
+    the hybrid's strictly sink-ward last resort.  ``parent`` maps a node id to
+    the neighbour that node first received this copy from; the plain reliable
+    class returns the copy there only once no unused edge is left (Tarry's
+    traversal).  The source has no parent.
+    """
 
     hdr: DataRepHeader
     latency_epoch: float | None
@@ -248,6 +276,8 @@ class ReplyCopy:
     path: list[int] = field(default_factory=list)
     rationales: list[str] = field(default_factory=list)
     backtracks: list[int] = field(default_factory=list)
+    forwarded: dict[int, set[int]] = field(default_factory=dict)
+    parent: dict[int, int] = field(default_factory=dict)
     repairs: int = 0
     failures_seen: int = 0
     fallback_used: bool = False
@@ -283,15 +313,7 @@ class CopyOutcome:
 
 @dataclass
 class NodeState:
-    """One sensor's mutable run state.
-
-    ``forwarded`` maps a copy, keyed ``(src, dst, copy_index)``, to the next
-    hops this node has already used for it; the reliable classes never reuse
-    such an edge, except for the hybrid's strictly sink-ward last resort.
-    ``parent`` maps the same key to the neighbour this node first received
-    that copy from; the plain reliable class returns the copy there only once
-    no unused edge is left (Tarry's traversal).  The source has no parent.
-    """
+    """One sensor's mutable run state."""
 
     id: int
     energy: float
@@ -303,17 +325,10 @@ class NodeState:
     tx_end: float = 0.0
     has_broadcast: bool = False
     flood_pending: bool = False
-    forwarded: dict = field(default_factory=dict)
-    parent: dict = field(default_factory=dict)
 
     @property
     def queue_len(self) -> int:
         return len(self.tx_queue) + (1 if self.transmitting else 0)
-
-
-def waiting_time(node: NodeState, service_time: float) -> float:
-    """Estimated queueing delay at a node: queue length times service time."""
-    return node.queue_len * service_time
 
 
 @dataclass(frozen=True)
@@ -414,7 +429,9 @@ class Simulation:
         self.flood_broadcasts = 0
         self.copies: list[ReplyCopy] = []
         self.failed_nodes: tuple[int, ...] = ()
-        self.sources = self._draw_sources()
+        self.sources = seeded_draw(
+            [config.seed, _SOURCE_STREAM], range(1, config.n), config.sources
+        )
         self._trace_lines: list[tuple] | None = [] if collect_trace else None
         self._tx_cost_broadcast = tx_energy(
             config.packet_bits, self.active_range, config.e_elec, config.eps_amp
@@ -423,12 +440,6 @@ class Simulation:
 
     # ------------------------------------------------------------------
     # bookkeeping
-
-    def _draw_sources(self) -> tuple[int, ...]:
-        rng = np.random.default_rng([self.config.seed, _SOURCE_STREAM])
-        k = min(self.config.sources, self.config.n - 1)
-        picks = rng.choice(np.arange(1, self.config.n), size=k, replace=False)
-        return tuple(sorted(int(p) for p in picks))
 
     def _trace(self, kind: str, src: int, dst: int, query_id: int, detail: str) -> None:
         if self._trace_lines is not None:
@@ -602,24 +613,16 @@ class Simulation:
     def inject_failures(self) -> tuple[int, ...]:
         """Kill a seeded uniform pick of nodes after the flood completed.
 
-        The count is ``floor(fraction * (n - 1))``; the sink (and, in normal
-        sweep runs, the sources) are exempt.  The draw does not depend on the
-        service class, so all classes face the same failure set.
+        See :func:`draw_failures`; the sink (and, in normal sweep runs, the
+        sources) are exempt.
         """
-        count = math.floor(self.config.failure_fraction * (self.config.n - 1))
         exempt = {SINK}
         if self.exempt_sources_from_failure:
             exempt.update(self.sources)
         eligible = [
             i for i in range(self.config.n) if i not in exempt and self.nodes[i].alive
         ]
-        count = min(count, len(eligible))
-        if count == 0:
-            self.failed_nodes = ()
-            return ()
-        rng = np.random.default_rng([self.config.seed, _FAILURE_STREAM])
-        picks = rng.choice(np.asarray(eligible), size=count, replace=False)
-        failed = tuple(sorted(int(p) for p in picks))
+        failed = draw_failures(self.config, eligible)
         for node_id in failed:
             self.nodes[node_id].alive = False
             self._trace("node_died", node_id, -1, -1, "injected_failure")
@@ -681,36 +684,27 @@ class Simulation:
         if not node.alive or node.fit.self_hop >= HOP_INF:
             return dead_batch()
 
-        if self.qos is QosClass.RELIABLE:
-            pruned = prune_low_energy(node.fit, self.config.e_threshold)
-            primary = primary_reliable(pruned, self.config.e_threshold)
-            if primary is None:
+        if self.qos in _RELIABLE_CLASSES:
+            # The copies leave at once, round robin over distinct first hops.
+            firsts: tuple[int, ...] = ()
+            if self.qos is QosClass.RELIABLE:
+                pruned = prune_low_energy(node.fit, self.config.e_threshold)
+                primary = primary_reliable(pruned, self.config.e_threshold)
+                if primary is not None:
+                    alternates = alternates_reliable(pruned, primary.next_hop)
+                    firsts = (primary.next_hop, *alternates)
+                first_rationale = Rationale.PRIMARY_RELIABLE
+            else:
+                paths = paths_delay_reliable(self._queue_view(node))
+                if paths is not None:
+                    firsts = paths.first_hops
+                first_rationale = Rationale.MIN_WAIT
+            if not firsts:
                 return dead_batch()
-            alternates = alternates_reliable(pruned, primary.next_hop)
-            firsts = (primary.next_hop, *alternates)
             for k in range(n_copies):
                 path_id = k % len(firsts)
                 rationale = (
-                    Rationale.PRIMARY_RELIABLE
-                    if path_id == 0
-                    else Rationale.ALTERNATE_RELIABLE
-                )
-                copy = self._new_copy(
-                    src_id, k, path_id, firsts[path_id], rationale, self.now
-                )
-                copies.append(copy)
-                self._enqueue_tx(node, _ReplyTx(copy))
-            for first in firsts:
-                pct_observe(node.pct, first, src_id, SINK)
-        elif self.qos is QosClass.DELAY_RELIABLE:
-            paths = paths_delay_reliable(self._queue_view(node))
-            if paths is None:
-                return dead_batch()
-            firsts = paths.first_hops
-            for k in range(n_copies):
-                path_id = k % len(firsts)
-                rationale = (
-                    Rationale.MIN_WAIT if path_id == 0 else Rationale.ALTERNATE_RELIABLE
+                    first_rationale if path_id == 0 else Rationale.ALTERNATE_RELIABLE
                 )
                 copy = self._new_copy(
                     src_id, k, path_id, firsts[path_id], rationale, self.now
@@ -765,8 +759,8 @@ class Simulation:
     ) -> RouteDecision | None:
         """Reliable-class forwarding with staged constraint relaxation.
 
-        A node never forwards the same copy to the same neighbour twice (its
-        own recorded path choices are that memory), which makes repair walks
+        A node never forwards the same copy to the same neighbour twice (the
+        copy's ``forwarded`` memory), which makes repair walks
         edge-self-avoiding and therefore finite.  Stage 1, for both classes,
         is disjoint and sink-ward: the PCT-checked selector over unused
         edges, excluding the previous hop, the parent and candidates strictly
@@ -788,10 +782,9 @@ class Simulation:
         relaxation of :meth:`_reliable_fallback`.
         """
         hdr = copy.hdr
-        key = (hdr.src, hdr.dst, hdr.copy_index)
         prev = hdr.prev_hop
-        parent = node.parent.get(key)
-        tried = node.forwarded.get(key, set())
+        parent = copy.parent.get(node.id)
+        tried = copy.forwarded.get(node.id, set())
         fit = (
             self._queue_view(node)
             if by_wait
@@ -819,7 +812,7 @@ class Simulation:
             else:
                 decision = self._tarry_step(node, hdr, prev, parent, tried)
         if decision is not None:
-            node.forwarded.setdefault(key, set()).add(decision.next_hop)
+            copy.forwarded.setdefault(node.id, set()).add(decision.next_hop)
         return decision
 
     def _tarry_step(
@@ -893,8 +886,7 @@ class Simulation:
             copy.forced_next = None
             copy.forced_rationale = None
             if self.qos in _RELIABLE_CLASSES:
-                key = (copy.hdr.src, copy.hdr.dst, copy.hdr.copy_index)
-                node.forwarded.setdefault(key, set()).add(target)
+                copy.forwarded.setdefault(node.id, set()).add(target)
         else:
             decision = self._route(node, copy)
             if decision is None:
@@ -977,8 +969,7 @@ class Simulation:
             self._finish_copy(copy, delivered=True)
             return
         if self.qos is QosClass.RELIABLE and receiver_id != copy.hdr.src:
-            key = (copy.hdr.src, copy.hdr.dst, copy.hdr.copy_index)
-            receiver.parent.setdefault(key, sender_id)
+            copy.parent.setdefault(receiver_id, sender_id)
         copy.hdr.prev_hop = sender_id
         copy.hdr.ttl -= 1
         self._enqueue_tx(receiver, _ReplyTx(copy))
@@ -1048,16 +1039,9 @@ class Simulation:
         alive = [i for i in range(1, self.config.n) if self.nodes[i].alive]
         if not alive:
             return 0
-        rng = np.random.default_rng(
-            [self.config.seed, _SOURCE_STREAM, round_index]
+        round_sources = seeded_draw(
+            [self.config.seed, _SOURCE_STREAM, round_index], alive, self.config.sources
         )
-        k = min(self.config.sources, len(alive))
-        picks = rng.choice(np.asarray(alive), size=k, replace=False)
-        round_sources = tuple(sorted(int(p) for p in picks))
-        for node in self.nodes:
-            # copies from previous rounds are obsolete
-            node.forwarded.clear()
-            node.parent.clear()
         batch = self.deliver_replies(round_sources)
         return sum(1 for c in batch if c.delivered)
 

@@ -2,8 +2,7 @@
 
 import pytest
 
-from qwsn.harness import QOS_ORDER, derive_side
-from qwsn.sim import SimConfig, build_topology, simulate_query_round
+from qwsn.harness import ScenarioConfig, run_sweep, sim_config
 
 ACCEPT_SIZES = (50, 75, 100, 125, 150)
 ACCEPT_FAILURE_SIZES = (50, 75, 100, 125)
@@ -12,24 +11,13 @@ ACCEPT_SEEDS = tuple(range(10))
 
 
 def _config(n, fraction, seed):
-    return SimConfig(n=n, side=derive_side(n), seed=seed, failure_fraction=fraction)
+    return sim_config(ScenarioConfig(), n, fraction, seed)
 
 
 def _run_grid(sizes, fractions, seeds):
-    runs = {}
-    topologies = {}
-    for n in sizes:
-        for seed in seeds:
-            for fraction in fractions:
-                config = _config(n, fraction, seed)
-                key = (n, seed)
-                if key not in topologies:
-                    topologies[key] = build_topology(config)
-                for qos in QOS_ORDER:
-                    runs[(qos, n, fraction, seed)] = simulate_query_round(
-                        config, qos, topology=topologies[key]
-                    )
-    return runs
+    """Runs keyed ``(qos, n, fraction, seed)`` for every class of the grid."""
+    scenario = ScenarioConfig(sizes=sizes, failures=fractions, seeds=seeds)
+    return run_sweep(scenario, keep_runs=True).runs
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """Scenario parsing, sweep mechanics and output emission."""
 
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -11,6 +12,7 @@ from qwsn.harness import (
     ParseError,
     RangeError,
     ScenarioConfig,
+    compare_config,
     derive_side,
     emit_csv,
     emit_means_csv,
@@ -238,3 +240,17 @@ class TestSimConfigDerivation:
         assert cfg.failure_fraction == 0.1
         assert cfg.seed == 7
         assert math.isclose(sim_config(scn, 200, 0, 0).side, 140.0)
+
+    def test_compare_config_takes_the_compare_block(self):
+        scn = parse_scenario(
+            "e_threshold=0.02\ncopies=2\nsources=4\nttl=9\nservice_time=0.005\n"
+            "failures=0.2\ncompare_n=40\ncompare_side=33\ncompare_range=90\n"
+            "compare_e_init=0.07\n"
+        )
+        cfg = compare_config(scn, 5)
+        assert (cfg.n, cfg.side, cfg.long_range, cfg.e_init) == (40, 33.0, 90.0, 0.07)
+        assert cfg.failure_fraction == 0.0
+        cell = sim_config(scn, 40, 0.0, 5)
+        for f in fields(cfg):
+            if f.name not in ("side", "long_range", "e_init"):
+                assert getattr(cfg, f.name) == getattr(cell, f.name), f.name

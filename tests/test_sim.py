@@ -21,7 +21,6 @@ from qwsn.sim import (
     rx_energy,
     simulate_query_round,
     tx_energy,
-    waiting_time,
 )
 
 E_ELEC, EPS_AMP, BITS = 50e-9, 100e-12, 1000
@@ -230,22 +229,26 @@ class TestUnicastWithAck:
 
 
 class TestWaitingTime:
+    """The selectors estimate a node's waiting time by its ``queue_len``."""
+
     def _node(self):
         return NodeState(id=1, energy=1.0, fit=fit_bootstrap(1), pct=Pct())
 
     def test_empty_queue_is_zero(self):
-        assert waiting_time(self._node(), 0.004) == 0.0
+        assert self._node().queue_len == 0
 
-    def test_product_of_queue_and_service_time(self):
+    def test_counts_queued_and_transmitting_jobs(self):
         node = self._node()
         node.tx_queue.extend(range(5))
-        assert waiting_time(node, 0.004) == pytest.approx(0.02)
+        assert node.queue_len == 5
+        node.transmitting = True
+        assert node.queue_len == 6
 
     def test_enqueue_strictly_increases(self):
         node = self._node()
-        before = waiting_time(node, 0.004)
+        before = node.queue_len
         node.tx_queue.append(object())
-        assert waiting_time(node, 0.004) > before
+        assert node.queue_len > before
 
 
 class TestInjectFailures:
