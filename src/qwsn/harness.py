@@ -195,8 +195,10 @@ def _check_range(scenario: ScenarioConfig, key: str, line: int) -> None:
     elif key in ("failures", "compare_fractions"):
         if any(not (0.0 <= f < 1.0) for f in value):
             raise RangeError(f"failure fractions must be in [0, 1): {value}", line)
-    elif key in _FLOAT_KEYS and key not in ("bs_x", "bs_y"):
-        if value < 0:
+    elif key in _FLOAT_KEYS:
+        if not math.isfinite(value):
+            raise RangeError(f"{key} must be finite: {value}", line)
+        if value < 0 and key not in ("bs_x", "bs_y"):
             raise RangeError(f"{key} must be non-negative: {value}", line)
     elif key in _INT_KEYS and value < 1:
         raise RangeError(f"{key} must be positive: {value}", line)
@@ -205,13 +207,16 @@ def _check_range(scenario: ScenarioConfig, key: str, line: int) -> None:
 
 
 def _validate(scenario: ScenarioConfig) -> None:
+    """Cross-key checks; the compare block must make a valid run config."""
     if scenario.short_range >= scenario.long_range:
         raise RangeError(
             f"short_range must be below long_range: "
             f"{scenario.short_range} >= {scenario.long_range}"
         )
-    if scenario.compare_n < 2:
-        raise RangeError(f"compare_n must be >= 2: {scenario.compare_n}")
+    try:
+        compare_config(scenario, scenario.seeds[0])
+    except ValueError as exc:  # RangeError included
+        raise RangeError(f"compare block: {exc}") from None
 
 
 def sim_config(

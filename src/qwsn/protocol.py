@@ -9,7 +9,8 @@ its transmit-queue length.  Replies (DATA_REP) are then routed back to the
 sink using only this table plus, for the reliable classes, a small path
 construction table maintained in :mod:`qwsn.routing`.
 
-Headers and FIT rows are values.  A FIT itself is a node's own mutable
+Headers and FIT rows are values, so the one row built from a header is
+shared by every FIT that stores it.  A FIT itself is a node's own mutable
 table: :func:`apply_data_req` updates it in place, because every flood
 reception goes through it.  :func:`prune_low_energy` never changes its
 argument and returns a filtered copy only when it drops a row.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 # Hop counts travel in a 16-bit header field; this sentinel is the largest
@@ -103,6 +105,20 @@ class DataReqHeader:
         if not (0 <= self.sender_hop <= HOP_INF):
             raise ValueError(f"sender_hop out of range: {self.sender_hop}")
         _check_forwarders(self.forwarders, self.sender_id)
+
+    @cached_property
+    def fit_row(self) -> FitEntry:
+        """The FIT row a receiver stores for the sender, with queue length 0.
+
+        Built once per header: every receiver of one broadcast shares it,
+        which is safe because rows are frozen.
+        """
+        return FitEntry(
+            neighbor=self.sender_id,
+            energy=self.sender_energy,
+            hop=self.sender_hop,
+            forwarders=self.forwarders,
+        )
 
 
 @dataclass
@@ -192,7 +208,9 @@ def apply_data_req(fit: Fit, hdr: DataReqHeader) -> tuple[Fit, FloodAction]:
     Let the advertised hop count be L and the node's own be H.  The sender's
     row is upserted unconditionally (energy, hop and forwarders refreshed, a
     previously learned queue length kept), so the node always knows its full
-    neighbour set.  Then:
+    neighbour set.  The stored row is the header's shared
+    :attr:`~DataReqHeader.fit_row`, or a copy of it when the old row carries
+    a non-zero queue length.  Then:
 
     * L+1 < H: the node found a shorter route; H becomes L+1 and the packet
       is rebroadcast.
@@ -205,15 +223,12 @@ def apply_data_req(fit: Fit, hdr: DataReqHeader) -> tuple[Fit, FloodAction]:
     if hdr.sender_hop < 0:
         raise ValueError(f"malformed header: negative hop {hdr.sender_hop}")
 
+    row = hdr.fit_row
     entries = fit.entries
     old = entries.get(hdr.sender_id)
-    entries[hdr.sender_id] = FitEntry(
-        neighbor=hdr.sender_id,
-        energy=hdr.sender_energy,
-        hop=hdr.sender_hop,
-        forwarders=hdr.forwarders,
-        queue_len=old.queue_len if old is not None else 0,
-    )
+    if old is not None and old.queue_len:
+        row = replace(row, queue_len=old.queue_len)
+    entries[hdr.sender_id] = row
 
     candidate = min(hdr.sender_hop + 1, HOP_INF)
     if candidate < fit.self_hop:

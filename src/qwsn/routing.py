@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .protocol import Fit, FitEntry
 
@@ -49,18 +49,22 @@ class Pct:
     capacity: int = PCT_CAPACITY
 
 
-def pct_observe(pct: Pct, overheard_forwarder: int, src: int, dst: int) -> Pct:
-    """Record an overheard forwarding event in place and return the table.
+def pct_observe(
+    tables: Iterable[Pct], overheard_forwarder: int, src: int, dst: int
+) -> None:
+    """Record one forwarding event in every given table, in place.
 
-    Duplicates are no-ops; a new row past capacity evicts the oldest one.
+    One transmission is overheard by many nodes, so the row is built once
+    and each table applies the same rule: a duplicate is a no-op, and a new
+    row past capacity evicts the table's oldest one.
     """
-    rows = pct.rows
     row = (overheard_forwarder, src, dst)
-    if row not in rows:
-        rows[row] = None
-        if len(rows) > pct.capacity:
-            del rows[next(iter(rows))]
-    return pct
+    for pct in tables:
+        rows = pct.rows
+        if row not in rows:
+            rows[row] = None
+            if len(rows) > pct.capacity:
+                del rows[next(iter(rows))]
 
 
 def _pct_blocks(pct: Pct, node_id: int, src: int, dst: int) -> bool:
@@ -220,10 +224,8 @@ def _next_hop_pct_checked(
             skipped = True
             continue
         rationale = Rationale.ALTERNATE_RELIABLE if skipped else first
-        return (
-            RouteDecision(pick.neighbor, rationale),
-            pct_observe(pct, pick.neighbor, src, dst),
-        )
+        pct_observe((pct,), pick.neighbor, src, dst)
+        return RouteDecision(pick.neighbor, rationale), pct
     return None, pct
 
 

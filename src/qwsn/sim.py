@@ -11,7 +11,10 @@ in strict ``(time, insertion order)`` order.  A run executes four phases:
 
 Timing model: every transmission (broadcast or unicast) occupies the
 sender's radio for one service time, so per-hop latency is the sender's
-queue wait plus the transmission delay.  Energy model: first-order radio,
+queue wait plus the transmission delay.  A query broadcast is one event:
+when it arrives it is delivered to the sender's alive neighbours in
+ascending id order, each reception handled in full before the next.
+Energy model: first-order radio,
 ``tx = e_elec*bits + eps_amp*bits*d^2`` and ``rx = e_elec*bits``; broadcasts
 transmit at the active range's power while unicasts spend amplifier energy
 for the actual link distance.  The sink is externally powered and is never
@@ -195,7 +198,7 @@ class Topology:
         if table is None:
             within = self._dist <= range_m
             np.fill_diagonal(within, False)
-            table = [tuple(int(j) for j in np.flatnonzero(row)) for row in within]
+            table = [tuple(np.flatnonzero(row).tolist()) for row in within]
             self._neighbors[range_m] = table
         return table[node]
 
@@ -582,30 +585,34 @@ class Simulation:
                 job.query_id,
                 f"hop={hdr.sender_hop} energy={hdr.sender_energy:.9f}",
             )
-        for nbr in self.topology.neighbors(node.id, self.active_range):
-            if self.nodes[nbr].alive:
-                self._schedule(node.tx_end, EventKind.BROADCAST_ARRIVE, nbr, hdr)
+        self._schedule(node.tx_end, EventKind.BROADCAST_ARRIVE, node.id, hdr)
         return True
 
-    def _on_broadcast_arrive(self, node_id: int, hdr: DataReqHeader) -> None:
-        node = self.nodes[node_id]
-        if not node.alive:
-            return
-        if not self._debit(node, self._rx_cost):
-            return
-        old_hop = node.fit.self_hop
-        node.fit, action = apply_data_req(node.fit, hdr)
-        assert node.fit.self_hop <= old_hop, "hop estimate must never worsen"
-        if self._trace_lines is not None:
-            self._trace(
-                "flood_rx", hdr.sender_id, node_id, hdr.query_id, action.value
+    def _on_broadcast_arrive(self, sender_id: int, hdr: DataReqHeader) -> None:
+        """Deliver one broadcast to the sender's alive neighbours, ascending."""
+        nodes = self.nodes
+        rx_cost = self._rx_cost
+        tracing = self._trace_lines is not None
+        for node_id in self.topology.neighbors(sender_id, self.active_range):
+            node = nodes[node_id]
+            if not node.alive or not self._debit(node, rx_cost):
+                continue
+            old_hop = node.fit.self_hop
+            node.fit, action = apply_data_req(node.fit, hdr)
+            assert node.fit.self_hop <= old_hop, "hop estimate must never worsen"
+            if tracing:
+                self._trace("flood_rx", sender_id, node_id, hdr.query_id, action.value)
+            wants_rebroadcast = action is FloodAction.UPDATED_AND_REBROADCAST or (
+                action is FloodAction.RECORDED_AND_REBROADCAST
+                and not node.has_broadcast
             )
-        wants_rebroadcast = action is FloodAction.UPDATED_AND_REBROADCAST or (
-            action is FloodAction.RECORDED_AND_REBROADCAST and not node.has_broadcast
-        )
-        if wants_rebroadcast and not node.flood_pending and node.fit.self_hop < HOP_INF:
-            node.flood_pending = True
-            self._enqueue_tx(node, _FloodTx(hdr.query_id))
+            if (
+                wants_rebroadcast
+                and not node.flood_pending
+                and node.fit.self_hop < HOP_INF
+            ):
+                node.flood_pending = True
+                self._enqueue_tx(node, _FloodTx(hdr.query_id))
 
     # ------------------------------------------------------------------
     # failures
@@ -712,7 +719,7 @@ class Simulation:
                 copies.append(copy)
                 self._enqueue_tx(node, _ReplyTx(copy))
             for first in firsts:
-                pct_observe(node.pct, first, src_id, SINK)
+                pct_observe((node.pct,), first, src_id, SINK)
         else:
             # Normal and delay-sensitive classes send their copies one after
             # another, each routed afresh when it reaches the radio.
@@ -837,7 +844,7 @@ class Simulation:
                 return None
             pick = backs[0]
             rationale = Rationale.BACKTRACK
-        pct_observe(node.pct, pick, hdr.src, hdr.dst)
+        pct_observe((node.pct,), pick, hdr.src, hdr.dst)
         return RouteDecision(pick, rationale)
 
     def _reliable_fallback(
@@ -868,7 +875,7 @@ class Simulation:
         for pool in pools:
             if pool:
                 pick = min(pool, key=rank)
-                pct_observe(node.pct, pick.neighbor, hdr.src, hdr.dst)
+                pct_observe((node.pct,), pick.neighbor, hdr.src, hdr.dst)
                 return RouteDecision(pick.neighbor, Rationale.FALLBACK)
         return None
 
@@ -937,12 +944,19 @@ class Simulation:
         receiver = self.nodes[receiver_id]
         if self.qos in _RELIABLE_CLASSES:
             # The header is overheard across the sender's neighbourhood and
-            # feeds the path construction tables of the reliable classes.
-            nodes, src, dst = self.nodes, copy.hdr.src, copy.hdr.dst
-            for overhearer in self.topology.neighbors(sender_id, self.active_range):
-                onode = nodes[overhearer]
-                if onode.alive:
-                    pct_observe(onode.pct, sender_id, src, dst)
+            # feeds the path construction tables of the reliable classes:
+            # one row, recorded in every alive overhearer's table.
+            nodes = self.nodes
+            pct_observe(
+                (
+                    nodes[o].pct
+                    for o in self.topology.neighbors(sender_id, self.active_range)
+                    if nodes[o].alive
+                ),
+                sender_id,
+                copy.hdr.src,
+                copy.hdr.dst,
+            )
         received = receiver.alive and self._debit(receiver, self._rx_cost)
         if not received:
             copy.failures_seen += 1

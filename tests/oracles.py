@@ -326,7 +326,7 @@ def check_pct_selector_equivalence(max_size=4):
                 # a selector records its pick in the table it is given
                 pct = Pct()
                 for node_id, s, d in rows:
-                    pct_observe(pct, node_id, s, d)
+                    pct_observe((pct,), node_id, s, d)
                 return pct
 
             got, _ = next_hop_reliable(fit, fresh_pct(), _SRC, _DST)

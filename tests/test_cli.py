@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, outputs, exit codes, env override."""
 
+import pytest
 
 from qwsn.cli import EXIT_OK, EXIT_PARSE, EXIT_UNCONNECTABLE, main
 from qwsn.harness import CSV_HEADER
@@ -111,6 +112,28 @@ class TestSweep:
         scenario.write_text(TINY_SWEEP)
         code = main(["sweep", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
         assert code == EXIT_UNCONNECTABLE
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("sweep", "service_time=nan"),
+        ("sweep", "short_range=nan"),
+        ("sweep", "e_init=nan"),
+        ("sweep", "e_init=inf"),
+        ("sweep", "e_threshold=nan"),
+        ("compare-pegasis", "compare_side=0"),
+        ("compare-pegasis", "compare_range=10"),  # below short_range
+        ("compare-pegasis", "compare_e_init=nan"),
+    ],
+)
+def test_bad_scenario_value_exits_2(tmp_path, capsys, command, line):
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(TINY_SWEEP + line + "\n")
+    out = tmp_path / "o"
+    assert main([command, "--scenario", str(scenario), "--out", str(out)]) == EXIT_PARSE
+    _assert_one_error_line(capsys)
+    assert not out.exists()
 
 
 class TestComparePegasis:

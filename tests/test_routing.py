@@ -40,6 +40,14 @@ from qwsn.routing import (
 SRC, DST, OTHER = 77, 0, 78
 
 
+def observed(*rows):
+    """A fresh PCT holding ``rows``, each recorded through ``pct_observe``."""
+    pct = Pct()
+    for row in rows:
+        pct_observe((pct,), *row)
+    return pct
+
+
 class TestNextHopNormal:
     def test_max_energy_among_least_hop_candidates(self):
         fit = make_fit(
@@ -145,17 +153,17 @@ class TestAlternatesReliable:
 
 class TestPct:
     def test_insert(self):
-        pct = pct_observe(Pct(), 5, SRC, DST)
+        pct = observed((5, SRC, DST))
         assert tuple(pct.rows) == (PctEntry(5, SRC, DST),)
 
     def test_duplicate_is_noop(self):
-        pct = pct_observe(Pct(), 5, SRC, DST)
-        assert pct_observe(pct, 5, SRC, DST) is pct
+        pct = observed((5, SRC, DST), (6, SRC, DST), (5, SRC, DST))
+        assert tuple(pct.rows) == (PctEntry(5, SRC, DST), PctEntry(6, SRC, DST))
 
     def test_fifo_eviction_at_capacity(self):
         pct = Pct()
         for i in range(PCT_CAPACITY + 1):
-            pct = pct_observe(pct, i, SRC, DST)
+            pct_observe((pct,), i, SRC, DST)
         rows = tuple(pct.rows)
         assert len(rows) == PCT_CAPACITY
         assert rows[0] == PctEntry(1, SRC, DST)  # row 0 evicted
@@ -164,7 +172,7 @@ class TestPct:
     def test_rows_unique(self):
         pct = Pct()
         for _ in range(5):
-            pct = pct_observe(pct, 1, SRC, DST)
+            pct_observe((pct,), 1, SRC, DST)
         assert len(pct.rows) == 1
 
     @given(
@@ -186,9 +194,39 @@ class TestPct:
         pct = Pct(capacity=capacity)
         reference = ()
         for node_id, src, dst in steps:
-            assert pct_observe(pct, node_id, src, dst) is pct
+            pct_observe((pct,), node_id, src, dst)
             reference = reference_pct_observe(reference, node_id, src, dst, capacity)
             assert tuple(pct.rows) == reference
+
+    @given(
+        capacities=st.lists(
+            st.sampled_from([1, 3, PCT_CAPACITY]), min_size=1, max_size=4
+        ),
+        steps=st.lists(
+            st.tuples(
+                st.lists(st.booleans(), min_size=4, max_size=4),
+                st.integers(min_value=0, max_value=47),
+                st.integers(min_value=0, max_value=2),
+                st.integers(min_value=0, max_value=1),
+            ),
+            min_size=2 * PCT_CAPACITY,
+            max_size=160,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_many_tables_match_tuple_reference(self, capacities, steps):
+        # each step records one row in a subset of the tables, as one
+        # overheard transmission does, so the tables drift apart
+        pcts = [Pct(capacity=c) for c in capacities]
+        references = [()] * len(pcts)
+        for chosen, node_id, src, dst in steps:
+            picked = [i for i in range(len(pcts)) if chosen[i]]
+            pct_observe((pcts[i] for i in picked), node_id, src, dst)
+            for i in picked:
+                references[i] = reference_pct_observe(
+                    references[i], node_id, src, dst, capacities[i]
+                )
+            assert [tuple(p.rows) for p in pcts] == references
 
 
 class TestNextHopReliable:
@@ -200,20 +238,20 @@ class TestNextHopReliable:
 
     def test_blocked_for_same_pair(self):
         fit = make_fit([entry(1, hop=1), entry(2, hop=2)])
-        pct = pct_observe(Pct(), 1, SRC, DST)
+        pct = observed((1, SRC, DST))
         decision, _ = next_hop_reliable(fit, pct, SRC, DST)
         assert decision.next_hop == 2
         assert decision.rationale is Rationale.ALTERNATE_RELIABLE
 
     def test_rows_for_other_pairs_do_not_block(self):
         fit = make_fit([entry(1, hop=1), entry(2, hop=2)])
-        pct = pct_observe(Pct(), 1, OTHER, DST)
+        pct = observed((1, OTHER, DST))
         decision, _ = next_hop_reliable(fit, pct, SRC, DST)
         assert decision.next_hop == 1
 
     def test_exhaustion_returns_no_route(self):
         fit = make_fit([entry(1, hop=1)])
-        pct = pct_observe(Pct(), 1, SRC, DST)
+        pct = observed((1, SRC, DST))
         decision, out = next_hop_reliable(fit, pct, SRC, DST)
         assert decision is None
         assert out is pct
@@ -223,8 +261,8 @@ class TestNextHopReliable:
         fit = make_fit([entry(1, hop=1), entry(2, hop=2)])
         cases = [
             (Pct(), 1),
-            (pct_observe(Pct(), 1, SRC, DST), 2),
-            (pct_observe(Pct(), 1, OTHER, DST), 1),
+            (observed((1, SRC, DST)), 2),
+            (observed((1, OTHER, DST)), 1),
         ]
         for pct, expected in cases:
             decision, _ = next_hop_reliable(fit, pct, SRC, DST)
@@ -320,14 +358,14 @@ class TestDelayReliableIntermediate:
 
     def test_blocked_least_wait_falls_to_next(self):
         fit = make_fit([entry(1, hop=2, queue_len=1), entry(2, hop=1, queue_len=5)])
-        pct = pct_observe(Pct(), 1, SRC, DST)
+        pct = observed((1, SRC, DST))
         decision, _ = next_hop_delay_reliable_intermediate(fit, pct, SRC, DST)
         assert decision.next_hop == 2
         assert decision.rationale is Rationale.ALTERNATE_RELIABLE
 
     def test_all_blocked_is_no_route(self):
         fit = make_fit([entry(1, hop=1), entry(2, hop=1)])
-        pct = pct_observe(pct_observe(Pct(), 1, SRC, DST), 2, SRC, DST)
+        pct = observed((1, SRC, DST), (2, SRC, DST))
         decision, _ = next_hop_delay_reliable_intermediate(fit, pct, SRC, DST)
         assert decision is None
 

@@ -1,5 +1,7 @@
 """Event engine: topology, flood, energy, acks, failures, reply delivery."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -181,6 +183,72 @@ class TestFlood:
         sim = Simulation(cfg, QosClass.NORMAL)
         sim.run_flood(0)
         assert sim.flood_broadcasts == cfg.n
+
+    @pytest.mark.parametrize("qos", [QosClass.NORMAL, QosClass.DELAY])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_broadcast_reaches_alive_neighbours_as_one_ascending_block(
+        self, seed, qos
+    ):
+        cfg = line_config(n=50, side=70.0, seed=seed)
+        sim = Simulation(cfg, qos, collect_trace=True)
+        rng = np.random.default_rng(seed)
+        for node_id in rng.choice(np.arange(1, cfg.n), size=8, replace=False):
+            sim.nodes[int(node_id)].alive = False
+        alive = [node.alive for node in sim.nodes]
+        sim.run_flood(0)
+        trace = sim._trace_lines
+        assert not any(line[1] == "node_died" for line in trace)
+        # consecutive flood_rx lines with one (time, sender) form one block
+        blocks: list[tuple[float, int, list[int]]] = []
+        previous = None
+        for time, kind, src, dst, _, _ in trace:
+            if kind == "flood_rx":
+                if previous != (time, src):
+                    blocks.append((time, src, []))
+                blocks[-1][2].append(dst)
+            previous = (time, src) if kind == "flood_rx" else None
+        expected = []
+        for time, kind, src, _, _, _ in trace:
+            if kind != "broadcast":
+                continue
+            receivers = [
+                n for n in sim.topology.neighbors(src, sim.active_range) if alive[n]
+            ]
+            if receivers:
+                expected.append((time + cfg.service_time, src, receivers))
+        # one block per broadcast (a sender's radio is busy between two)
+        by_sender = lambda b: (b[1], b[0])  # noqa: E731
+        assert sorted(blocks, key=by_sender) == sorted(expected, key=by_sender)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_queue_view_leaves_other_nodes_rows_unchanged(self, seed):
+        cfg = line_config(n=50, side=70.0, seed=seed)
+        sim = Simulation(cfg, QosClass.DELAY)
+        sim.run_flood(0)
+        receiver = sim.nodes[1]
+        # receivers of one broadcast store the same row for its sender
+        shared = [
+            nbr
+            for nbr in receiver.fit.entries
+            if any(
+                other.fit.entries.get(nbr) is receiver.fit.entries[nbr]
+                for other in sim.nodes
+                if other is not receiver
+            )
+        ]
+        assert shared
+        # values, not the row objects, so an in-place change would show
+        before = [
+            {n: astuple(e) for n, e in node.fit.entries.items()} for node in sim.nodes
+        ]
+        for nbr in shared:
+            sim.nodes[nbr].tx_queue.extend(range(nbr % 3 + 1))
+        sim._queue_view(receiver)
+        for nbr in shared:
+            assert receiver.fit.entries[nbr].queue_len == nbr % 3 + 1
+        for node, rows in zip(sim.nodes, before):
+            if node is not receiver:
+                assert {n: astuple(e) for n, e in node.fit.entries.items()} == rows
 
 
 class TestUnicastWithAck:
