@@ -456,24 +456,3 @@ def _write(path: str | Path, lines: list[str]) -> None:
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
-
-def parse_csv(text: str) -> list[MetricsRow]:
-    """Read back an emitted per-run CSV (round-trip aid for tests/tools)."""
-    lines = text.strip().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("not a metrics CSV (bad header)")
-    rows = []
-    for line in lines[1:]:
-        qos, n, fraction, seed, energy, latency, delivery = line.split(",")
-        rows.append(
-            MetricsRow(
-                qos=QosClass(qos),
-                n=int(n),
-                failure_fraction=float(fraction),
-                seed=int(seed),
-                avg_dissipated_energy_j=float(energy),
-                avg_latency_s=float(latency),
-                delivery_probability=float(delivery),
-            )
-        )
-    return rows

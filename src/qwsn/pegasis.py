@@ -94,16 +94,6 @@ def build_chain(
     return chain
 
 
-def chain_length(positions: np.ndarray, chain: Sequence[int]) -> float:
-    """Total Euclidean length of a chain's links."""
-    return float(
-        sum(
-            np.linalg.norm(positions[chain[i]] - positions[chain[i + 1]])
-            for i in range(len(chain) - 1)
-        )
-    )
-
-
 def run_pegasis_lifetime(
     config: SimConfig,
     failure_fraction: float = 0.0,

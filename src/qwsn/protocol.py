@@ -3,17 +3,19 @@
 A sink node periodically floods the network with a query (DATA_REQ); every
 node builds a forwarding information table (FIT) from the headers it hears:
 one row per neighbour holding that neighbour's advertised energy, its hop
-count to the sink, the identifiers of up to three of its least-hop
-neighbours ("forwarders"), and -- for the delay-sensitive service classes --
-its transmit-queue length.  Replies (DATA_REP) are then routed back to the
+count to the sink and the identifiers of up to three of its least-hop
+neighbours ("forwarders").  Replies (DATA_REP) are then routed back to the
 sink using only this table plus, for the reliable classes, a small path
-construction table maintained in :mod:`qwsn.routing`.
+construction table maintained in :mod:`qwsn.routing`; the delay-sensitive
+classes also rank neighbours by their current transmit-queue length, which
+the engine looks up live and the table does not store.
 
 Headers and FIT rows are values, so the one row built from a header is
 shared by every FIT that stores it.  A FIT itself is a node's own mutable
 table: :func:`apply_data_req` updates it in place, because every flood
-reception goes through it.  :func:`prune_low_energy` never changes its
-argument and returns a filtered copy only when it drops a row.
+reception goes through it, and resets the table's cached hop order.
+:func:`prune_low_energy` never changes its argument and returns a filtered
+copy only when it drops a row.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ class DataReqHeader:
 
     @cached_property
     def fit_row(self) -> FitEntry:
-        """The FIT row a receiver stores for the sender, with queue length 0.
+        """The FIT row a receiver stores for the sender.
 
         Built once per header: every receiver of one broadcast shares it,
         which is safe because rows are frozen.
@@ -155,7 +157,6 @@ class FitEntry:
     energy: float
     hop: int
     forwarders: tuple[int, ...] = ()
-    queue_len: int = 0
 
     def __post_init__(self) -> None:
         if not (0 <= self.hop <= HOP_INF):
@@ -168,14 +169,29 @@ class Fit:
     """Forwarding information table: neighbour rows plus the node's own record.
 
     ``entries`` is keyed by neighbour id, so there is at most one row per
-    neighbour by construction.
+    neighbour by construction.  Only :func:`apply_data_req` changes it in
+    place; every other update builds a new table.
     """
 
     self_id: int
     self_hop: int
     self_energy: float = 0.0
-    self_queue_len: int = 0
     entries: dict[int, FitEntry] = field(default_factory=dict)
+    # Not an __init__ field, so a copy made by dataclasses.replace starts
+    # without its parent's order.
+    _by_hop: tuple[FitEntry, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def by_hop(self) -> tuple[FitEntry, ...]:
+        """The rows in ``(hop, neighbour id)`` order, sorted on first use."""
+        order = self._by_hop
+        if order is None:
+            order = self._by_hop = tuple(
+                sorted(self.entries.values(), key=lambda e: (e.hop, e.neighbor))
+            )
+        return order
 
 
 class FloodAction(Enum):
@@ -197,7 +213,6 @@ def fit_bootstrap(self_id: int, is_sink: bool = False, energy: float = 0.0) -> F
         self_id=self_id,
         self_hop=0 if is_sink else HOP_INF,
         self_energy=energy,
-        self_queue_len=0,
         entries={},
     )
 
@@ -206,11 +221,10 @@ def apply_data_req(fit: Fit, hdr: DataReqHeader) -> tuple[Fit, FloodAction]:
     """Apply one received DATA_REQ to a FIT, in place; returns the same FIT.
 
     Let the advertised hop count be L and the node's own be H.  The sender's
-    row is upserted unconditionally (energy, hop and forwarders refreshed, a
-    previously learned queue length kept), so the node always knows its full
-    neighbour set.  The stored row is the header's shared
-    :attr:`~DataReqHeader.fit_row`, or a copy of it when the old row carries
-    a non-zero queue length.  Then:
+    row is upserted unconditionally (energy, hop and forwarders refreshed),
+    so the node always knows its full neighbour set.  The stored row is the
+    header's shared :attr:`~DataReqHeader.fit_row`, and the table's hop
+    order is reset.  Then:
 
     * L+1 < H: the node found a shorter route; H becomes L+1 and the packet
       is rebroadcast.
@@ -223,12 +237,8 @@ def apply_data_req(fit: Fit, hdr: DataReqHeader) -> tuple[Fit, FloodAction]:
     if hdr.sender_hop < 0:
         raise ValueError(f"malformed header: negative hop {hdr.sender_hop}")
 
-    row = hdr.fit_row
-    entries = fit.entries
-    old = entries.get(hdr.sender_id)
-    if old is not None and old.queue_len:
-        row = replace(row, queue_len=old.queue_len)
-    entries[hdr.sender_id] = row
+    fit.entries[hdr.sender_id] = hdr.fit_row
+    fit._by_hop = None
 
     candidate = min(hdr.sender_hop + 1, HOP_INF)
     if candidate < fit.self_hop:
@@ -257,8 +267,7 @@ def advert_from_fit(fit: Fit) -> AdvertFields:
     """
     if fit.self_hop >= HOP_INF:
         raise ValueError("cannot advertise an unknown hop count")
-    ranked = sorted(fit.entries.values(), key=lambda e: (e.hop, e.neighbor))
-    forwarders = tuple(e.neighbor for e in ranked[:MAX_FORWARDERS])
+    forwarders = tuple(e.neighbor for e in fit.by_hop[:MAX_FORWARDERS])
     return AdvertFields(fit.self_energy, fit.self_hop, forwarders)
 
 

@@ -5,7 +5,9 @@ return ``None`` when no usable neighbour remains ("no route").  The
 reliable-class selectors also record their pick in the caller's path
 construction table, in place, since choosing a forwarder puts it on the
 path for that source/destination pair; they return that same table next to
-the decision.
+the decision.  The wait-ranked selectors of the delay-sensitive classes
+take a lookup ``wait(node_id)`` that returns a neighbour's current
+transmit-queue length; the table stores no queue lengths.
 
 Tie-breaking is deterministic throughout: candidates compare by
 ``(ranking key..., hop, node id)`` so identical tables always yield
@@ -20,6 +22,9 @@ from functools import partial
 from typing import Callable, Iterable, NamedTuple
 
 from .protocol import Fit, FitEntry
+
+# Looks up a neighbour's current transmit-queue length by node id.
+Wait = Callable[[int], int]
 
 # Path construction tables live on memory-constrained sensors; rows beyond
 # this bound evict oldest-first.
@@ -114,9 +119,20 @@ def _by_energy_hop_id(entry: FitEntry) -> tuple[float, int, int]:
     return (-entry.energy, entry.hop, entry.neighbor)
 
 
-def _by_wait_hop_id(entry: FitEntry) -> tuple[int, int, int]:
+def _by_wait_hop_id(wait: Wait) -> Callable[[FitEntry], tuple[int, int, int]]:
     # Queue length orders waiting time for a fixed per-packet service time.
-    return (entry.queue_len, entry.hop, entry.neighbor)
+    return lambda entry: (wait(entry.neighbor), entry.hop, entry.neighbor)
+
+
+def _hop_shortlist(fit: Fit, excluded: frozenset[int] | set[int]) -> list[FitEntry]:
+    """The three least-hop rows not in ``excluded``, in ``(hop, id)`` order."""
+    shortlist = []
+    for e in fit.by_hop:
+        if e.neighbor not in excluded:
+            shortlist.append(e)
+            if len(shortlist) == _CANDIDATES:
+                break
+    return shortlist
 
 
 def next_hop_normal(
@@ -132,67 +148,64 @@ def next_hop_normal(
     plain least-hop/max-energy pick so that delivery never fails on a
     connected table.
     """
-    pool = {n: e for n, e in fit.entries.items() if n not in excluded}
+    pool = [e for e in fit.by_hop if e.neighbor not in excluded]
     if not pool:
         return None
     neighborhood = fit.entries.keys()
-    remaining = dict(pool)
+    remaining = list(pool)  # stays in (hop, id) order as picks are dropped
     while remaining:
-        shortlist = sorted(remaining.values(), key=_by_hop_id)[:_CANDIDATES]
-        pick = min(shortlist, key=_by_energy_hop_id)
+        pick = min(remaining[:_CANDIDATES], key=_by_energy_hop_id)
         if not set(pick.forwarders) & neighborhood:
             return RouteDecision(pick.neighbor, Rationale.MIN_HOP_MAX_ENERGY)
-        del remaining[pick.neighbor]
-    shortlist = sorted(pool.values(), key=_by_hop_id)[:_CANDIDATES]
-    pick = min(shortlist, key=_by_energy_hop_id)
+        remaining.remove(pick)
+    pick = min(pool[:_CANDIDATES], key=_by_energy_hop_id)
     return RouteDecision(pick.neighbor, Rationale.FALLBACK)
 
 
 def primary_reliable(fit: Fit, e_threshold: float) -> RouteDecision | None:
     """Least-hop neighbour whose energy clears the forwarding threshold."""
-    survivors = [e for e in fit.entries.values() if e.energy >= e_threshold]
-    if not survivors:
-        return None
-    pick = min(survivors, key=_by_hop_id)
-    return RouteDecision(pick.neighbor, Rationale.PRIMARY_RELIABLE)
+    for e in fit.by_hop:
+        if e.energy >= e_threshold:
+            return RouteDecision(e.neighbor, Rationale.PRIMARY_RELIABLE)
+    return None
 
 
 def alternates_reliable(fit: Fit, primary: int) -> tuple[int, ...]:
     """Up to two alternate first hops: least-hop neighbours besides the primary."""
-    others = sorted(
-        (e for e in fit.entries.values() if e.neighbor != primary), key=_by_hop_id
-    )
-    return tuple(e.neighbor for e in others[:2])
+    return tuple(e.neighbor for e in _hop_shortlist(fit, {primary})[:2])
 
 
-def next_hop_delay(fit: Fit) -> RouteDecision | None:
+def next_hop_delay(
+    fit: Fit, wait: Wait, excluded: frozenset[int] | set[int] = frozenset()
+) -> RouteDecision | None:
     """Minimum-waiting-time pick among the three least-hop neighbours.
 
-    Waiting time is estimated from the advertised queue length; ties resolve
-    to the least-hop then least-id candidate.
+    Waiting time is estimated from the queue length ``wait`` reports; ties
+    resolve to the least-hop then least-id candidate.
     """
-    if not fit.entries:
+    shortlist = _hop_shortlist(fit, excluded)
+    if not shortlist:
         return None
-    shortlist = sorted(fit.entries.values(), key=_by_hop_id)[:_CANDIDATES]
-    pick = min(shortlist, key=_by_wait_hop_id)
+    pick = min(shortlist, key=_by_wait_hop_id(wait))
     return RouteDecision(pick.neighbor, Rationale.MIN_WAIT)
 
 
-def paths_delay_reliable(fit: Fit) -> PathSet | None:
+def paths_delay_reliable(fit: Fit, wait: Wait) -> PathSet | None:
     """Primary plus at most one alternate first hop for the hybrid class.
 
     The primary is the minimum-waiting-time pick; the alternate is the
     next-least-waiting-time candidate among the remaining least-hop
     shortlist.
     """
-    if not fit.entries:
+    shortlist = _hop_shortlist(fit, frozenset())
+    if not shortlist:
         return None
-    shortlist = sorted(fit.entries.values(), key=_by_hop_id)[:_CANDIDATES]
-    primary = min(shortlist, key=_by_wait_hop_id)
+    rank = _by_wait_hop_id(wait)
+    primary = min(shortlist, key=rank)
     rest = [e for e in shortlist if e.neighbor != primary.neighbor]
     if not rest:
         return PathSet(primary.neighbor)
-    alternate = min(rest, key=_by_wait_hop_id)
+    alternate = min(rest, key=rank)
     return PathSet(primary.neighbor, (alternate.neighbor,))
 
 
@@ -233,10 +246,22 @@ def _next_hop_pct_checked(
 next_hop_reliable = partial(
     _next_hop_pct_checked, rank=_by_hop_id, first=Rationale.PRIMARY_RELIABLE
 )
-# Hybrid class: least waiting time first; hop count and id break ties.
-next_hop_delay_reliable_intermediate = partial(
-    _next_hop_pct_checked, rank=_by_wait_hop_id, first=Rationale.MIN_WAIT
-)
+
+
+def next_hop_delay_reliable_intermediate(
+    fit: Fit,
+    pct: Pct,
+    src: int,
+    dst: int,
+    excluded: frozenset[int] | set[int] = frozenset(),
+    *,
+    wait: Wait,
+) -> tuple[RouteDecision | None, Pct]:
+    """Hybrid class: least waiting time first; hop count and id break ties."""
+    rank = _by_wait_hop_id(wait)
+    return _next_hop_pct_checked(
+        fit, pct, src, dst, excluded, rank=rank, first=Rationale.MIN_WAIT
+    )
 
 
 def remove_failed(fit: Fit, neighbor: int) -> Fit:

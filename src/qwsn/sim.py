@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
@@ -140,8 +140,8 @@ def seeded_draw(key: Sequence[int], pool: Sequence[int], k: int) -> tuple[int, .
     k = min(k, len(pool))
     if k == 0:
         return ()
-    picks = np.random.default_rng(key).choice(np.asarray(pool), size=k, replace=False)
-    return tuple(sorted(int(p) for p in picks))
+    picks = np.random.default_rng(key).choice(len(pool), size=k, replace=False)
+    return tuple(sorted(pool[i] for i in picks.tolist()))
 
 
 def draw_failures(config: SimConfig, eligible: Sequence[int]) -> tuple[int, ...]:
@@ -274,7 +274,6 @@ class ReplyCopy:
     latency_epoch: float | None
     forced_next: int | None = None
     forced_rationale: Rationale | None = None
-    single_hop: bool = False
     hops: int = 0
     path: list[int] = field(default_factory=list)
     rationales: list[str] = field(default_factory=list)
@@ -448,6 +447,10 @@ class Simulation:
         if self._trace_lines is not None:
             self._trace_lines.append((self.now, kind, src, dst, query_id, detail))
 
+    def _wait(self, node_id: int) -> int:
+        """A node's current queue length, which the selectors rank waits by."""
+        return self.nodes[node_id].queue_len
+
     def _debit(self, node: NodeState, amount: float) -> bool:
         """Charge a node; the sink is externally powered and never charged.
 
@@ -551,7 +554,6 @@ class Simulation:
             fit = node.fit
             fit.self_hop = 0 if node.id == SINK else HOP_INF
             fit.self_energy = node.energy
-            fit.self_queue_len = node.queue_len
             node.has_broadcast = False
             node.flood_pending = False
         self._schedule(self.now, EventKind.QUERY_START, SINK, query_id)
@@ -702,7 +704,7 @@ class Simulation:
                     firsts = (primary.next_hop, *alternates)
                 first_rationale = Rationale.PRIMARY_RELIABLE
             else:
-                paths = paths_delay_reliable(self._queue_view(node))
+                paths = paths_delay_reliable(node.fit, self._wait)
                 if paths is not None:
                     firsts = paths.first_hops
                 first_rationale = Rationale.MIN_WAIT
@@ -729,36 +731,13 @@ class Simulation:
                 self._enqueue_tx(node, _ReplyTx(copy))
         return copies
 
-    def _queue_view(self, node: NodeState, exclude: frozenset[int] = frozenset()) -> Fit:
-        """The node's FIT with every neighbour's current queue length filled in.
-
-        Queue lengths are read from the neighbours' live state at selection
-        time, which stands in for the periodic queue-occupancy broadcasts.
-        They are written into the node's own rows, replacing only the rows
-        whose length changed, so ``FitEntry.queue_len`` is current only right
-        after this call.  With ``exclude`` non-empty the result is a filtered
-        copy; otherwise it is the node's FIT itself.
-        """
-        nodes = self.nodes
-        entries = node.fit.entries
-        for nbr, entry in entries.items():
-            qlen = nodes[nbr].queue_len
-            if entry.queue_len != qlen:
-                entries[nbr] = replace(entry, queue_len=qlen)
-        if not exclude:
-            return node.fit
-        return replace(
-            node.fit,
-            entries={n: e for n, e in entries.items() if n not in exclude},
-        )
-
     def _route(self, node: NodeState, copy: ReplyCopy) -> RouteDecision | None:
         hdr = copy.hdr
         excluded = frozenset() if hdr.prev_hop is None else frozenset({hdr.prev_hop})
         if self.qos is QosClass.NORMAL:
             return next_hop_normal(node.fit, excluded)
         if self.qos is QosClass.DELAY:
-            return next_hop_delay(self._queue_view(node, excluded))
+            return next_hop_delay(node.fit, self._wait, excluded)
         return self._route_reliable(node, copy, by_wait=self.qos is QosClass.DELAY_RELIABLE)
 
     def _route_reliable(
@@ -793,9 +772,7 @@ class Simulation:
         parent = copy.parent.get(node.id)
         tried = copy.forwarded.get(node.id, set())
         fit = (
-            self._queue_view(node)
-            if by_wait
-            else prune_low_energy(node.fit, self.config.e_threshold)
+            node.fit if by_wait else prune_low_energy(node.fit, self.config.e_threshold)
         )
         self_hop = node.fit.self_hop
         backward = {
@@ -805,17 +782,16 @@ class Simulation:
         }
         base = {n for n in (prev, parent) if n is not None}
 
-        selector = (
-            next_hop_delay_reliable_intermediate if by_wait else next_hop_reliable
-        )
-        decision, _ = selector(
-            fit, node.pct, hdr.src, hdr.dst, frozenset(base | backward | tried)
-        )
+        excluded = frozenset(base | backward | tried)
+        if by_wait:
+            decision, _ = next_hop_delay_reliable_intermediate(
+                fit, node.pct, hdr.src, hdr.dst, excluded, wait=self._wait
+            )
+        else:
+            decision, _ = next_hop_reliable(fit, node.pct, hdr.src, hdr.dst, excluded)
         if decision is None:
             if by_wait:
-                decision = self._reliable_fallback(
-                    node, fit, hdr, base, backward, tried
-                )
+                decision = self._reliable_fallback(node, hdr, base, backward, tried)
             else:
                 decision = self._tarry_step(node, hdr, prev, parent, tried)
         if decision is not None:
@@ -850,7 +826,6 @@ class Simulation:
     def _reliable_fallback(
         self,
         node: NodeState,
-        fit: Fit,
         hdr: DataRepHeader,
         base: set[int],
         backward: set[int],
@@ -860,8 +835,9 @@ class Simulation:
         the disjointness wall (PCT ignored), then a backward escape around a
         failure hole one fresh edge at a time, then strictly sink-ward reuse,
         which cannot cycle because the hop count strictly decreases."""
-        rank = lambda e: (e.queue_len, e.hop, e.neighbor)  # noqa: E731
-        entries = fit.entries
+        wait = self._wait
+        rank = lambda e: (wait(e.neighbor), e.hop, e.neighbor)  # noqa: E731
+        entries = node.fit.entries
         self_hop = node.fit.self_hop
         pools = (
             [e for n, e in entries.items() if n not in base | backward | tried],
@@ -922,7 +898,7 @@ class Simulation:
         # The plain reliable class runs the link-layer acknowledgement and
         # repairs around detected failures; the delay-sensitive hybrid cannot
         # afford acknowledgement timeouts and relies on path redundancy.
-        with_ack = copy.single_hop or self.qos is QosClass.RELIABLE
+        with_ack = self.qos is QosClass.RELIABLE
         self._schedule(
             node.tx_end,
             EventKind.UNICAST_ARRIVE,
@@ -948,11 +924,11 @@ class Simulation:
             # one row, recorded in every alive overhearer's table.
             nodes = self.nodes
             pct_observe(
-                (
+                [
                     nodes[o].pct
                     for o in self.topology.neighbors(sender_id, self.active_range)
                     if nodes[o].alive
-                ),
+                ],
                 sender_id,
                 copy.hdr.src,
                 copy.hdr.dst,
@@ -979,7 +955,7 @@ class Simulation:
         if backtrack:
             copy.backtracks.append(len(copy.path))
         copy.path.append(receiver_id)
-        if copy.single_hop or receiver_id == copy.hdr.dst:
+        if receiver_id == copy.hdr.dst:
             self._finish_copy(copy, delivered=True)
             return
         if self.qos is QosClass.RELIABLE and receiver_id != copy.hdr.src:
@@ -999,9 +975,6 @@ class Simulation:
                 self._finish_copy(copy, delivered=False, reason="sender_died")
             return
         sender.fit = remove_failed(sender.fit, failed_id)
-        if copy.single_hop:
-            self._finish_copy(copy, delivered=False, reason="dead_next_hop")
-            return
         copy.repairs += 1
         self._enqueue_tx(sender, _ReplyTx(copy))
 
@@ -1027,22 +1000,6 @@ class Simulation:
 
     # ------------------------------------------------------------------
     # public primitives
-
-    def unicast_with_ack(self, sender_id: int, receiver_id: int) -> ReplyCopy:
-        """One acknowledged link transmission, run to resolution.
-
-        On success the packet is enqueued at the receiver and the copy
-        reports delivery with its one-hop delay (sender queue wait plus
-        transmission delay).  If the receiver is dead or unreachable the
-        sender times out after ``ack_timeout`` and deletes the neighbour from
-        its FIT.
-        """
-        copy = self._new_copy(sender_id, 0, 0, receiver_id, None, self.now)
-        copy.hdr = replace(copy.hdr, dst=receiver_id)
-        copy.single_hop = True
-        self._enqueue_tx(self.nodes[sender_id], _ReplyTx(copy))
-        self._drain()
-        return copy
 
     def run_reply_round(self, round_index: int) -> int:
         """One query-answering round without re-flooding; returns deliveries.

@@ -21,13 +21,9 @@ def make_fit(entries, self_id=99, self_hop=5):
     return Fit(self_id=self_id, self_hop=self_hop, entries=table)
 
 
-def entry(neighbor, hop=1, energy=1.0, forwarders=(), queue_len=0):
+def entry(neighbor, hop=1, energy=1.0, forwarders=()):
     return FitEntry(
-        neighbor=neighbor,
-        energy=energy,
-        hop=hop,
-        forwarders=tuple(forwarders),
-        queue_len=queue_len,
+        neighbor=neighbor, energy=energy, hop=hop, forwarders=tuple(forwarders)
     )
 
 
@@ -97,14 +93,16 @@ def oracle_alternates_reliable(fit, primary):
     return tuple(e.neighbor for e in rest[:2])
 
 
-def oracle_next_hop_delay(fit):
-    if not fit.entries:
+def oracle_next_hop_delay(fit, queues, excluded=frozenset()):
+    """``queues`` maps each neighbour id to its queue length."""
+    live = [e for e in fit.entries.values() if e.neighbor not in excluded]
+    if not live:
         return None
-    shortlist = _three_least_hop(fit.entries.values())
+    shortlist = _three_least_hop(live)
     best = shortlist[0]
     for cand in shortlist[1:]:
-        if (cand.queue_len, cand.hop, cand.neighbor) < (
-            best.queue_len,
+        if (queues[cand.neighbor], cand.hop, cand.neighbor) < (
+            queues[best.neighbor],
             best.hop,
             best.neighbor,
         ):
@@ -112,11 +110,11 @@ def oracle_next_hop_delay(fit):
     return best.neighbor
 
 
-def oracle_paths_delay_reliable(fit):
+def oracle_paths_delay_reliable(fit, queues):
     if not fit.entries:
         return None
     shortlist = _three_least_hop(fit.entries.values())
-    ranked = sorted(shortlist, key=lambda e: (e.queue_len, e.hop, e.neighbor))
+    ranked = sorted(shortlist, key=lambda e: (queues[e.neighbor], e.hop, e.neighbor))
     primary = ranked[0].neighbor
     alternates = tuple(e.neighbor for e in ranked[1:2])
     return primary, alternates
@@ -143,13 +141,15 @@ def oracle_next_hop_reliable(fit, pct_rows, src, dst, excluded=frozenset()):
     return None
 
 
-def oracle_next_hop_delay_reliable(fit, pct_rows, src, dst, excluded=frozenset()):
+def oracle_next_hop_delay_reliable(
+    fit, queues, pct_rows, src, dst, excluded=frozenset()
+):
     live = {n: e for n, e in fit.entries.items() if n not in excluded}
     while live:
         best = None
         for cand in live.values():
-            if best is None or (cand.queue_len, cand.hop, cand.neighbor) < (
-                best.queue_len,
+            if best is None or (queues[cand.neighbor], cand.hop, cand.neighbor) < (
+                queues[best.neighbor],
                 best.hop,
                 best.neighbor,
             ):
@@ -177,7 +177,8 @@ def reference_pct_observe(rows, overheard_forwarder, src, dst, capacity):
 
 
 def enumerate_tables(max_size, hop_values, energy_values, queue_values, forwarder_pools):
-    """Yield fits over ids 1..max_size with every attribute combination.
+    """Yield ``(fit, queues)`` over ids 1..max_size with every attribute
+    combination; ``queues`` maps each neighbour id to its queue length.
 
     ``forwarder_pools`` is a function id -> candidate forwarder tuples for
     that entry (kept small by callers to bound the product).
@@ -186,9 +187,9 @@ def enumerate_tables(max_size, hop_values, energy_values, queue_values, forwarde
     for size in range(1, max_size + 1):
         chosen = ids[:size]
 
-        def expand(idx, acc):
+        def expand(idx, acc, queues):
             if idx == len(chosen):
-                yield make_fit(list(acc))
+                yield make_fit(list(acc)), dict(queues)
                 return
             nid = chosen[idx]
             for hop in hop_values:
@@ -196,18 +197,14 @@ def enumerate_tables(max_size, hop_values, energy_values, queue_values, forwarde
                     for queue in queue_values:
                         for fwd in forwarder_pools(nid, chosen):
                             acc.append(
-                                entry(
-                                    nid,
-                                    hop=hop,
-                                    energy=energy,
-                                    forwarders=fwd,
-                                    queue_len=queue,
-                                )
+                                entry(nid, hop=hop, energy=energy, forwarders=fwd)
                             )
-                            yield from expand(idx + 1, acc)
+                            queues[nid] = queue
+                            yield from expand(idx + 1, acc, queues)
                             acc.pop()
+                            del queues[nid]
 
-        yield from expand(0, [])
+        yield from expand(0, [], {})
 
 
 def all_pct_row_sets(ids, src, dst, other_src, max_rows=2):
@@ -236,7 +233,7 @@ def check_next_hop_normal_equivalence(max_size=4):
         return pools
 
     count = 0
-    for fit in enumerate_tables(
+    for fit, _ in enumerate_tables(
         max_size,
         hop_values=(1, 2),
         energy_values=(0.25, 1.0),
@@ -261,7 +258,7 @@ def check_reliable_selector_equivalence(max_size=4):
     from qwsn.routing import alternates_reliable, primary_reliable
 
     count = 0
-    for fit in enumerate_tables(
+    for fit, _ in enumerate_tables(
         max_size,
         hop_values=(1, 2, 3),
         energy_values=(0.005, 1.0),
@@ -284,21 +281,24 @@ def check_delay_selector_equivalence(max_size=4):
     from qwsn.routing import next_hop_delay, paths_delay_reliable
 
     count = 0
-    for fit in enumerate_tables(
+    for fit, queues in enumerate_tables(
         max_size,
         hop_values=(1, 2),
         energy_values=(1.0,),
         queue_values=(0, 1, 2),
         forwarder_pools=lambda nid, chosen: [()],
     ):
-        got = next_hop_delay(fit)
-        assert (got.next_hop if got else None) == oracle_next_hop_delay(fit), fit
-        paths = paths_delay_reliable(fit)
-        expected = oracle_paths_delay_reliable(fit)
+        wait = queues.__getitem__
+        for excluded in (frozenset(), frozenset({1})):
+            got = next_hop_delay(fit, wait, excluded)
+            expected = oracle_next_hop_delay(fit, queues, excluded)
+            assert (got.next_hop if got else None) == expected, (fit, queues, excluded)
+        paths = paths_delay_reliable(fit, wait)
+        expected = oracle_paths_delay_reliable(fit, queues)
         if expected is None:
             assert paths is None
         else:
-            assert (paths.primary, paths.alternates) == expected, fit
+            assert (paths.primary, paths.alternates) == expected, (fit, queues)
         count += 1
     return count
 
@@ -312,7 +312,7 @@ def check_pct_selector_equivalence(max_size=4):
     )
 
     count = 0
-    for fit in enumerate_tables(
+    for fit, queues in enumerate_tables(
         max_size,
         hop_values=(1, 2),
         energy_values=(1.0,),
@@ -332,8 +332,10 @@ def check_pct_selector_equivalence(max_size=4):
             got, _ = next_hop_reliable(fit, fresh_pct(), _SRC, _DST)
             expected = oracle_next_hop_reliable(fit, rows, _SRC, _DST)
             assert (got.next_hop if got else None) == expected, (fit, rows)
-            got, _ = next_hop_delay_reliable_intermediate(fit, fresh_pct(), _SRC, _DST)
-            expected = oracle_next_hop_delay_reliable(fit, rows, _SRC, _DST)
-            assert (got.next_hop if got else None) == expected, (fit, rows)
+            got, _ = next_hop_delay_reliable_intermediate(
+                fit, fresh_pct(), _SRC, _DST, wait=queues.__getitem__
+            )
+            expected = oracle_next_hop_delay_reliable(fit, queues, rows, _SRC, _DST)
+            assert (got.next_hop if got else None) == expected, (fit, queues, rows)
             count += 1
     return count

@@ -1,5 +1,7 @@
 """Scenario parsing, sweep mechanics and output emission."""
 
+import csv
+import io
 import math
 from dataclasses import fields
 
@@ -17,7 +19,6 @@ from qwsn.harness import (
     emit_csv,
     emit_means_csv,
     emit_series,
-    parse_csv,
     parse_scenario,
     run_sweep,
     sim_config,
@@ -175,18 +176,18 @@ class TestEmission:
         emit_csv(table, path)
         text = path.read_text()
         assert text.splitlines()[0] == CSV_HEADER
-        parsed = parse_csv(text)
+        parsed = list(csv.DictReader(io.StringIO(text)))
         assert len(parsed) == len(table.rows)
         for got, want in zip(parsed, table.rows):
-            assert got.qos is want.qos
-            assert got.n == want.n
-            assert got.seed == want.seed
+            assert QosClass(got["qos"]) is want.qos
+            assert int(got["n"]) == want.n
+            assert int(got["seed"]) == want.seed
             for attr in (
                 "avg_dissipated_energy_j",
                 "avg_latency_s",
                 "delivery_probability",
             ):
-                assert getattr(got, attr) == pytest.approx(
+                assert float(got[attr]) == pytest.approx(
                     getattr(want, attr), abs=5e-10
                 )
 

@@ -6,12 +6,21 @@ import pytest
 from qwsn.pegasis import (
     ComparisonRow,
     build_chain,
-    chain_length,
     compare_case4,
     run_case4_lifetime,
     run_pegasis_lifetime,
 )
 from qwsn.sim import SimConfig, Topology, build_topology
+
+
+def chain_length(positions, chain):
+    """Total Euclidean length of a chain's links."""
+    return float(
+        sum(
+            np.linalg.norm(positions[chain[i]] - positions[chain[i + 1]])
+            for i in range(len(chain) - 1)
+        )
+    )
 
 
 class TestBuildChain:

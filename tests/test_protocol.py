@@ -20,6 +20,7 @@ from qwsn.protocol import (
     tos_decode,
     tos_encode,
 )
+from qwsn.routing import remove_failed
 
 
 def hdr(sender, hop, energy=0.5, forwarders=(), query_id=0):
@@ -38,7 +39,6 @@ class TestBootstrap:
         fit = fit_bootstrap(7, is_sink=False)
         assert fit.self_hop == HOP_INF
         assert fit.entries == {}
-        assert fit.self_queue_len == 0
 
     def test_sink_is_zero_hops_from_itself(self):
         assert fit_bootstrap(0, is_sink=True).self_hop == 0
@@ -71,15 +71,15 @@ class TestApplyDataReq:
         assert out.self_hop == 2
         assert out.entries[9].hop == 5
 
-    def test_upsert_refreshes_fields_but_keeps_queue(self):
+    def test_upsert_refreshes_fields(self):
         fit = fit_bootstrap(7)
-        fit.entries[3] = FitEntry(
-            neighbor=3, energy=0.5, hop=4, forwarders=(1,), queue_len=6
-        )
-        fit, _ = apply_data_req(fit, hdr(3, 2, energy=0.4, forwarders=(2,)))
+        fit.entries[3] = FitEntry(neighbor=3, energy=0.5, hop=4, forwarders=(1,))
+        header = hdr(3, 2, energy=0.4, forwarders=(2,))
+        fit, _ = apply_data_req(fit, header)
         e = fit.entries[3]
         assert (e.hop, e.energy, e.forwarders) == (2, 0.4, (2,))
-        assert e.queue_len == 6
+        # every receiver of one header stores the header's one row
+        assert e is header.fit_row
 
     def test_own_packet_rejected(self):
         with pytest.raises(ValueError):
@@ -93,7 +93,7 @@ class TestApplyDataReq:
         start_hop=st.sampled_from([1, 4, HOP_INF]),
         known=st.dictionaries(
             st.integers(min_value=1, max_value=6),
-            st.tuples(st.integers(min_value=0, max_value=6), st.integers(0, 3)),
+            st.integers(min_value=0, max_value=6),
             max_size=4,
         ),
         sender=st.integers(min_value=1, max_value=6),
@@ -103,15 +103,12 @@ class TestApplyDataReq:
     def test_in_place_update_matches_copy_rule(self, start_hop, known, sender, sender_hop):
         fit = fit_bootstrap(7)
         fit.self_hop = start_hop
-        for n, (hop, queue_len) in known.items():
-            fit.entries[n] = FitEntry(n, 0.25, hop, queue_len=queue_len)
-        # the rule as a value: copy the rows, upsert the sender keeping its
-        # queue length, lower the own hop count on a strictly shorter route
-        old = fit.entries.get(sender)
+        for n, hop in known.items():
+            fit.entries[n] = FitEntry(n, 0.25, hop)
+        # the rule as a value: copy the rows, upsert the sender, lower the
+        # own hop count on a strictly shorter route
         rows = dict(fit.entries)
-        rows[sender] = FitEntry(
-            sender, 0.5, sender_hop, queue_len=old.queue_len if old else 0
-        )
+        rows[sender] = FitEntry(sender, 0.5, sender_hop)
         expected = replace(
             fit, self_hop=min(start_hop, sender_hop + 1), entries=rows
         )
@@ -156,6 +153,56 @@ class TestApplyDataReq:
             fit, _ = apply_data_req(fit, hdr(sender, h))
             fit, _ = apply_data_req(fit, hdr(sender, h))
         assert set(fit.entries) == set(hops)
+
+
+class TestHopOrder:
+    """``Fit.by_hop`` is cached; every update path must leave it true."""
+
+    _step = st.one_of(
+        st.tuples(
+            st.just("apply"),
+            st.integers(min_value=1, max_value=8),
+            st.integers(min_value=0, max_value=4),
+            st.sampled_from([0.05, 0.5]),
+        ),
+        st.tuples(st.just("remove"), st.integers(min_value=1, max_value=8)),
+        st.tuples(st.just("prune"), st.sampled_from([0.0, 0.1, 1.0])),
+        st.tuples(st.just("read")),
+    )
+
+    @staticmethod
+    def _expected(fit):
+        return tuple(sorted(fit.entries.values(), key=lambda e: (e.hop, e.neighbor)))
+
+    @given(steps=st.lists(_step, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_order_matches_a_fresh_sort_after_any_updates(self, steps):
+        fit = fit_bootstrap(0)
+        for step in steps:
+            if step[0] == "apply":
+                _, sender, hop, energy = step
+                fit, _ = apply_data_req(fit, hdr(sender, hop, energy=energy))
+            elif step[0] == "remove":
+                parent = fit
+                fit = remove_failed(fit, step[1])
+                if fit is not parent:
+                    # the parent's order is built, and holds the removed row
+                    assert step[1] in {e.neighbor for e in parent.by_hop}
+            elif step[0] == "prune":
+                fit = prune_low_energy(fit, step[1])
+            else:
+                assert fit.by_hop == self._expected(fit)
+        assert fit.by_hop == self._expected(fit)
+
+    def test_copy_does_not_carry_the_parents_order(self):
+        fit = fit_bootstrap(0)
+        for sender, hop, energy in ((1, 1, 0.5), (2, 0, 0.05), (3, 2, 0.5)):
+            fit, _ = apply_data_req(fit, hdr(sender, hop, energy=energy))
+        assert [e.neighbor for e in fit.by_hop] == [2, 1, 3]
+        assert [e.neighbor for e in remove_failed(fit, 2).by_hop] == [1, 3]
+        assert [e.neighbor for e in prune_low_energy(fit, 0.1).by_hop] == [1, 3]
+        assert [e.neighbor for e in replace(fit, entries={}).by_hop] == []
+        assert [e.neighbor for e in fit.by_hop] == [2, 1, 3]
 
 
 class TestAdvert:

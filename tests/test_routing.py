@@ -269,82 +269,80 @@ class TestNextHopReliable:
             assert decision.next_hop == expected
 
 
+def waits(queues):
+    """The queue-length lookup the wait-ranked selectors take."""
+    return queues.__getitem__
+
+
 class TestNextHopDelay:
     def test_min_wait_among_three_least_hop(self):
         fit = make_fit(
-            [
-                entry(1, hop=1, queue_len=5),
-                entry(2, hop=1, queue_len=2),
-                entry(3, hop=2, queue_len=1),
-                entry(4, hop=3, queue_len=0),
-            ]
+            [entry(1, hop=1), entry(2, hop=1), entry(3, hop=2), entry(4, hop=3)]
         )
-        decision = next_hop_delay(fit)
+        decision = next_hop_delay(fit, waits({1: 5, 2: 2, 3: 1, 4: 0}))
         assert decision.next_hop == 3
         assert decision.rationale is Rationale.MIN_WAIT
 
     def test_all_queues_equal_least_id_among_least_hop(self):
-        fit = make_fit(
-            [entry(3, hop=1, queue_len=1), entry(2, hop=1, queue_len=1), entry(1, hop=2, queue_len=1)]
-        )
-        assert next_hop_delay(fit).next_hop == 2
+        fit = make_fit([entry(3, hop=1), entry(2, hop=1), entry(1, hop=2)])
+        assert next_hop_delay(fit, waits({1: 1, 2: 1, 3: 1})).next_hop == 2
 
     def test_single_entry(self):
-        fit = make_fit([entry(9, hop=4, queue_len=7)])
-        assert next_hop_delay(fit).next_hop == 9
+        fit = make_fit([entry(9, hop=4)])
+        assert next_hop_delay(fit, waits({9: 7})).next_hop == 9
 
     def test_empty_table(self):
-        assert next_hop_delay(make_fit([])) is None
+        assert next_hop_delay(make_fit([]), waits({})) is None
+
+    def test_excluded_rows_leave_the_shortlist(self):
+        fit = make_fit(
+            [entry(1, hop=1), entry(2, hop=1), entry(3, hop=2), entry(4, hop=3)]
+        )
+        queues = waits({1: 5, 2: 2, 3: 1, 4: 0})
+        # without 3, the shortlist is 1, 2 and 4, and 4 waits least
+        assert next_hop_delay(fit, queues, frozenset({3})).next_hop == 4
+        assert next_hop_delay(fit, queues, frozenset({1, 2, 3, 4})) is None
 
     def test_brute_force_orderings(self):
         import itertools
 
-        for queues in itertools.product(range(3), repeat=4):
+        for qs in itertools.product(range(3), repeat=4):
+            queues = {i + 1: q for i, q in enumerate(qs)}
             for hops in itertools.product((1, 2, 3), repeat=4):
-                fit = make_fit(
-                    [
-                        entry(i + 1, hop=h, queue_len=q)
-                        for i, (h, q) in enumerate(zip(hops, queues))
-                    ]
+                fit = make_fit([entry(i + 1, hop=h) for i, h in enumerate(hops)])
+                assert next_hop_delay(fit, waits(queues)).next_hop == (
+                    oracle_next_hop_delay(fit, queues)
                 )
-                assert next_hop_delay(fit).next_hop == oracle_next_hop_delay(fit)
 
 
 class TestPathsDelayReliable:
     def test_primary_and_next_least_wait(self):
-        fit = make_fit(
-            [
-                entry(1, hop=1, queue_len=2),
-                entry(2, hop=1, queue_len=4),
-                entry(3, hop=2, queue_len=1),
-            ]
-        )
-        paths = paths_delay_reliable(fit)
+        fit = make_fit([entry(1, hop=1), entry(2, hop=1), entry(3, hop=2)])
+        paths = paths_delay_reliable(fit, waits({1: 2, 2: 4, 3: 1}))
         assert paths.primary == 3
         assert paths.alternates == (1,)
 
     def test_single_neighbor(self):
-        paths = paths_delay_reliable(make_fit([entry(4, hop=1)]))
+        paths = paths_delay_reliable(make_fit([entry(4, hop=1)]), waits({4: 0}))
         assert paths == PathSet(4, ())
 
     def test_tie_break_keeps_first_hops_distinct(self):
-        fit = make_fit([entry(1, hop=1, queue_len=0), entry(2, hop=1, queue_len=0)])
-        paths = paths_delay_reliable(fit)
+        fit = make_fit([entry(1, hop=1), entry(2, hop=1)])
+        paths = paths_delay_reliable(fit, waits({1: 0, 2: 0}))
         assert paths.primary == 1
         assert paths.alternates == (2,)
 
     def test_empty_table(self):
-        assert paths_delay_reliable(make_fit([])) is None
+        assert paths_delay_reliable(make_fit([]), waits({})) is None
 
     def test_brute_force_queue_assignments(self):
         import itertools
 
-        for queues in itertools.product(range(4), repeat=3):
-            fit = make_fit(
-                [entry(i + 1, hop=1 + i % 2, queue_len=q) for i, q in enumerate(queues)]
-            )
-            paths = paths_delay_reliable(fit)
-            primary, alternates = oracle_paths_delay_reliable(fit)
+        for qs in itertools.product(range(4), repeat=3):
+            queues = {i + 1: q for i, q in enumerate(qs)}
+            fit = make_fit([entry(i + 1, hop=1 + i % 2) for i in range(3)])
+            paths = paths_delay_reliable(fit, waits(queues))
+            primary, alternates = oracle_paths_delay_reliable(fit, queues)
             assert paths.primary == primary
             assert paths.alternates == alternates
             assert paths.primary not in paths.alternates
@@ -352,21 +350,27 @@ class TestPathsDelayReliable:
 
 class TestDelayReliableIntermediate:
     def test_least_wait_ignores_hop_rank(self):
-        fit = make_fit([entry(1, hop=2, queue_len=1), entry(2, hop=1, queue_len=5)])
-        decision, _ = next_hop_delay_reliable_intermediate(fit, Pct(), SRC, DST)
+        fit = make_fit([entry(1, hop=2), entry(2, hop=1)])
+        decision, _ = next_hop_delay_reliable_intermediate(
+            fit, Pct(), SRC, DST, wait=waits({1: 1, 2: 5})
+        )
         assert decision.next_hop == 1
 
     def test_blocked_least_wait_falls_to_next(self):
-        fit = make_fit([entry(1, hop=2, queue_len=1), entry(2, hop=1, queue_len=5)])
+        fit = make_fit([entry(1, hop=2), entry(2, hop=1)])
         pct = observed((1, SRC, DST))
-        decision, _ = next_hop_delay_reliable_intermediate(fit, pct, SRC, DST)
+        decision, _ = next_hop_delay_reliable_intermediate(
+            fit, pct, SRC, DST, wait=waits({1: 1, 2: 5})
+        )
         assert decision.next_hop == 2
         assert decision.rationale is Rationale.ALTERNATE_RELIABLE
 
     def test_all_blocked_is_no_route(self):
         fit = make_fit([entry(1, hop=1), entry(2, hop=1)])
         pct = observed((1, SRC, DST), (2, SRC, DST))
-        decision, _ = next_hop_delay_reliable_intermediate(fit, pct, SRC, DST)
+        decision, _ = next_hop_delay_reliable_intermediate(
+            fit, pct, SRC, DST, wait=waits({1: 0, 2: 0})
+        )
         assert decision is None
 
 
@@ -400,7 +404,7 @@ class TestRemoveFailed:
         snapshot = copy.deepcopy(fit)
         remove_failed(fit, 1)
         next_hop_normal(fit)
-        next_hop_delay(fit)
+        next_hop_delay(fit, waits({1: 0, 2: 0}))
         assert fit == snapshot
 
 
@@ -434,4 +438,5 @@ class TestDeterminism:
         fit_a = make_fit([entry(3, hop=1, energy=0.5), entry(1, hop=2, energy=0.7)])
         fit_b = make_fit([entry(1, hop=2, energy=0.7), entry(3, hop=1, energy=0.5)])
         assert next_hop_normal(fit_a) == next_hop_normal(fit_b)
-        assert next_hop_delay(fit_a) == next_hop_delay(fit_b)
+        queues = waits({1: 0, 3: 0})
+        assert next_hop_delay(fit_a, queues) == next_hop_delay(fit_b, queues)

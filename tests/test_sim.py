@@ -220,57 +220,79 @@ class TestFlood:
         by_sender = lambda b: (b[1], b[0])  # noqa: E731
         assert sorted(blocks, key=by_sender) == sorted(expected, key=by_sender)
 
+    @pytest.mark.parametrize("qos", [QosClass.DELAY, QosClass.DELAY_RELIABLE])
     @pytest.mark.parametrize("seed", range(3))
-    def test_queue_view_leaves_other_nodes_rows_unchanged(self, seed):
-        cfg = line_config(n=50, side=70.0, seed=seed)
-        sim = Simulation(cfg, QosClass.DELAY)
+    def test_replies_leave_every_fit_row_unchanged(self, seed, qos):
+        cfg = line_config(n=50, side=70.0, seed=seed, failure_fraction=0.2)
+        sim = Simulation(cfg, qos)
         sim.run_flood(0)
         receiver = sim.nodes[1]
         # receivers of one broadcast store the same row for its sender
-        shared = [
-            nbr
-            for nbr in receiver.fit.entries
-            if any(
-                other.fit.entries.get(nbr) is receiver.fit.entries[nbr]
-                for other in sim.nodes
-                if other is not receiver
-            )
-        ]
-        assert shared
+        assert any(
+            other.fit.entries.get(nbr) is row
+            for nbr, row in receiver.fit.entries.items()
+            for other in sim.nodes
+            if other is not receiver
+        )
         # values, not the row objects, so an in-place change would show
         before = [
             {n: astuple(e) for n, e in node.fit.entries.items()} for node in sim.nodes
         ]
-        for nbr in shared:
-            sim.nodes[nbr].tx_queue.extend(range(nbr % 3 + 1))
-        sim._queue_view(receiver)
-        for nbr in shared:
-            assert receiver.fit.entries[nbr].queue_len == nbr % 3 + 1
+        sim.inject_failures()
+        sim.deliver_replies()
         for node, rows in zip(sim.nodes, before):
-            if node is not receiver:
-                assert {n: astuple(e) for n, e in node.fit.entries.items()} == rows
+            assert {n: astuple(e) for n, e in node.fit.entries.items()} == rows
+
+
+def diamond_topology():
+    """Sink 0 and source 3 with two equal-hop relays 1 and 2 between them."""
+    positions = np.array([[0.0, 0.0], [10.0, 5.0], [10.0, -5.0], [20.0, 0.0]])
+    return Topology(positions, 10.0, 15.0)
+
+
+class TestWaitRanking:
+    def test_delay_decision_follows_queue_changes_between_decisions(self):
+        cfg = line_config(n=4, short_range=10.0, long_range=15.0)
+        sim = Simulation(cfg, QosClass.DELAY, topology=diamond_topology())
+        sim.run_flood(0)
+        source = sim.nodes[3]
+        assert {n: e.hop for n, e in source.fit.entries.items()} == {1: 1, 2: 1}
+        copy = sim._new_copy(3, 0, 0, None, None, None)
+        picks = []
+        for queued in ((0, 0), (2, 0), (2, 3), (0, 1)):
+            for relay, jobs in zip((1, 2), queued):
+                sim.nodes[relay].tx_queue.clear()
+                sim.nodes[relay].tx_queue.extend([None] * jobs)
+            picks.append(sim._route(source, copy).next_hop)
+        # equal waits resolve to the least id
+        assert picks == [1, 2, 1, 1]
 
 
 class TestUnicastWithAck:
+    """The plain reliable class acknowledges every link transmission."""
+
     def test_alive_receiver_delivers_with_one_hop_delay(self):
         cfg = line_config()
         sim = Simulation(cfg, QosClass.RELIABLE, topology=line_topology())
         sim.run_flood(0)
-        copy = sim.unicast_with_ack(2, 1)
+        copy = sim.deliver_replies([1])[0]
         assert copy.delivered
+        assert copy.path == [1, 0]
         assert copy.latency == pytest.approx(cfg.service_time, rel=1e-12)
 
     def test_dead_receiver_times_out_after_exactly_ack_timeout(self):
-        cfg = line_config()
+        cfg = line_config(copies_per_query=1)
         sim = Simulation(
             cfg, QosClass.RELIABLE, topology=line_topology(), collect_trace=True
         )
         sim.run_flood(0)
         sim.nodes[1].alive = False
         start = sim.now
-        copy = sim.unicast_with_ack(2, 1)
+        (copy,) = sim.deliver_replies([2])
         assert not copy.delivered
-        assert copy.drop_reason == "dead_next_hop"
+        assert copy.failures_seen == 1
+        # the lost relay was node 2's only neighbour
+        assert copy.drop_reason == "no_route"
         timeouts = [t for t in sim._trace_lines if t[1] == "ack_timeout"]
         assert len(timeouts) == 1
         # data transmission completes one service time after dispatch
@@ -278,22 +300,53 @@ class TestUnicastWithAck:
             start + cfg.service_time + cfg.ack_timeout, rel=1e-12
         )
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_timeout_removes_neighbor_from_fit(self, seed):
-        cfg = line_config(n=16, side=20.0, seed=seed)
-        sim = Simulation(cfg, QosClass.RELIABLE)
+    @pytest.mark.parametrize("case", range(4))
+    def test_timeout_removes_neighbor_from_fit(self, case):
+        # a line 0-1-...-5: the reply from 5 must pass every relay, and the
+        # relay next to the dead one is the sender that times out
+        cfg = line_config(n=6, side=50.0)
+        positions = np.array([[10.0 * i, 0.0] for i in range(cfg.n)])
+        topology = Topology(positions, cfg.short_range, cfg.long_range)
+        sim = Simulation(cfg, QosClass.RELIABLE, topology=topology, collect_trace=True)
         sim.run_flood(0)
-        sender = 1
-        nbrs = sim.topology.neighbors(sender, cfg.short_range)
-        victim = nbrs[seed % len(nbrs)]
-        if victim == SINK:
-            victim = nbrs[-1]
-        if victim == SINK:
-            pytest.skip("sender only neighbours the sink in this draw")
+        victim = case + 1
+        sender = victim + 1
         sim.nodes[victim].alive = False
         assert victim in sim.nodes[sender].fit.entries
-        sim.unicast_with_ack(sender, victim)
+        sim.deliver_replies([cfg.n - 1])
         assert victim not in sim.nodes[sender].fit.entries
+        assert (sender, victim) in {
+            (t[2], t[3]) for t in sim._trace_lines if t[1] == "ack_timeout"
+        }
+
+
+class TestOverhearing:
+    def test_only_alive_neighbours_record_an_overheard_reply(self):
+        # 0 sink; 1 and 3 one hop out; 2 and 4 two hops out; 3 neighbours all
+        positions = np.array(
+            [[0.0, 0.0], [10.0, 0.0], [20.0, 0.0], [10.0, 10.0], [20.0, 10.0]]
+        )
+        cfg = line_config(n=5, side=20.0)
+        topology = Topology(positions, cfg.short_range, cfg.long_range)
+        sim = Simulation(cfg, QosClass.RELIABLE, topology=topology, collect_trace=True)
+        sim.run_flood(0)
+        relay = sim.nodes[3]
+        # too little charge to receive a reply: relay 3 dies on its first one
+        relay.energy = rx_energy(cfg.packet_bits, cfg.e_elec) / 2
+        sim.deliver_replies([4])
+        assert not relay.alive
+        assert ("node_died", 3) in {(t[1], t[2]) for t in sim._trace_lines}
+        # while alive it overheard node 4's first copy
+        assert (4, 4, SINK) in relay.pct.rows
+        mark = len(sim._trace_lines)
+        sim.deliver_replies([2])
+        senders = {t[2] for t in sim._trace_lines[mark:] if t[1] == "unicast"}
+        assert senders
+        for sender in senders:
+            for nbr in topology.neighbors(sender, cfg.short_range):
+                recorded = (sender, 2, SINK) in sim.nodes[nbr].pct.rows
+                assert recorded is sim.nodes[nbr].alive, (sender, nbr)
+        assert all(src != 2 for _, src, _ in relay.pct.rows)
 
 
 class TestWaitingTime:
