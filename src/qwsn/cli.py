@@ -22,6 +22,7 @@ from pathlib import Path
 
 from . import harness
 from .harness import (
+    FIGURES,
     ParseError,
     RangeError,
     ScenarioConfig,
@@ -144,12 +145,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     emit_csv(table, out / "metrics.csv")
     emit_means_csv(table, out / "means.csv")
-    for figure, fraction in (
-        ("fig4", 0.0),
-        ("fig5", 0.0),
-        ("fig6", 0.1),
-        ("fig7", 0.2),
-    ):
+    for figure, (_, fraction) in FIGURES.items():
         if any(m.failure_fraction == fraction for m in table.means):
             emit_series(table, figure, out / f"{figure}.tsv")
     if table.skipped:

@@ -391,7 +391,7 @@ def emit_means_csv(table: MetricsTable, path: str | Path) -> None:
     _write(path, lines)
 
 
-_FIGURES = {
+FIGURES = {
     # figure id -> (metric attribute, failure fraction the series is drawn at)
     "fig4": ("avg_dissipated_energy_j", 0.0),
     "fig5": ("avg_latency_s", 0.0),
@@ -407,9 +407,9 @@ def emit_series(table: MetricsTable, figure_id: str, path: str | Path) -> None:
     failures); fig6/fig7 = mean delivery probability at 10 % / 20 % failures.
     Only sizes actually swept at the figure's failure fraction appear.
     """
-    if figure_id not in _FIGURES:
+    if figure_id not in FIGURES:
         raise ValueError(f"unknown figure id: {figure_id!r} (fig4..fig7)")
-    metric, fraction = _FIGURES[figure_id]
+    metric, fraction = FIGURES[figure_id]
     classes = [q for q in QOS_ORDER if any(m.qos is q for m in table.means)]
     sizes = sorted(
         {

@@ -13,6 +13,13 @@ same node placement, the same failure set and the same batteries; the query
 protocol floods once, then answers one query per round with rotating
 sources.  Lifetime for both is the number of rounds completed before half
 the nodes are dead (injected failures count as dead).
+
+The chain keeps its own battery ledger (``spend`` in
+:func:`run_pegasis_lifetime`) beside ``Simulation._debit``.  Both apply the
+same charging rule, but the engine never charges node 0, the mains-powered
+sink, and it traces each death, while the chain charges node 0 as an
+ordinary battery node and traces nothing.  A shared ledger would have to
+branch on its caller.
 """
 
 from __future__ import annotations

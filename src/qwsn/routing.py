@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 from .protocol import Fit, FitEntry
 
@@ -33,21 +33,14 @@ PCT_CAPACITY = 64
 _CANDIDATES = 3  # selectors shortlist the three least-hop neighbours
 
 
-class PctEntry(NamedTuple):
-    """One overheard fact: ``node_id`` forwards traffic from src to dst."""
-
-    node_id: int
-    src: int
-    dst: int
-
-
 @dataclass
 class Pct:
     """Path construction table: (forwarder, source, destination) rows.
 
-    ``rows`` is an insertion-ordered dict used as a set, keyed by plain
-    ``(node_id, src, dst)`` tuples (:class:`PctEntry` compares equal to
-    them), so membership is O(1) and capacity eviction is oldest-first.
+    ``rows`` is an insertion-ordered dict used as a set, keyed by
+    ``(node_id, src, dst)`` tuples, each the overheard fact that ``node_id``
+    forwards traffic from src to dst.  Membership is O(1) and capacity
+    eviction is oldest-first.
     """
 
     rows: dict[tuple[int, int, int], None] = field(default_factory=dict)
@@ -90,23 +83,6 @@ class Rationale(Enum):
 class RouteDecision:
     next_hop: int
     rationale: Rationale
-
-
-@dataclass(frozen=True)
-class PathSet:
-    """First hops of a multipath dispatch: one primary, up to two alternates."""
-
-    primary: int
-    alternates: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        hops = (self.primary, *self.alternates)
-        if len(set(hops)) != len(hops):
-            raise ValueError(f"first hops must be pairwise distinct: {hops}")
-
-    @property
-    def first_hops(self) -> tuple[int, ...]:
-        return (self.primary, *self.alternates)
 
 
 def _by_hop_id(entry: FitEntry) -> tuple[int, int]:
@@ -190,8 +166,9 @@ def next_hop_delay(
     return RouteDecision(pick.neighbor, Rationale.MIN_WAIT)
 
 
-def paths_delay_reliable(fit: Fit, wait: Wait) -> PathSet | None:
-    """Primary plus at most one alternate first hop for the hybrid class.
+def paths_delay_reliable(fit: Fit, wait: Wait) -> tuple[int, ...] | None:
+    """Distinct first hops for the hybrid class: primary, then at most one
+    alternate.
 
     The primary is the minimum-waiting-time pick; the alternate is the
     next-least-waiting-time candidate among the remaining least-hop
@@ -204,9 +181,8 @@ def paths_delay_reliable(fit: Fit, wait: Wait) -> PathSet | None:
     primary = min(shortlist, key=rank)
     rest = [e for e in shortlist if e.neighbor != primary.neighbor]
     if not rest:
-        return PathSet(primary.neighbor)
-    alternate = min(rest, key=rank)
-    return PathSet(primary.neighbor, (alternate.neighbor,))
+        return (primary.neighbor,)
+    return (primary.neighbor, min(rest, key=rank).neighbor)
 
 
 def _next_hop_pct_checked(

@@ -9,6 +9,11 @@ in strict ``(time, insertion order)`` order.  A run executes four phases:
 3. reply dispatch from the chosen source nodes, routed per service class,
 4. event drain, after which :meth:`Simulation.metrics` summarises the run.
 
+Events: each heap entry is ``(time, insertion order, handler, node, data)``
+and the drain calls ``handler(node, data)``.  A node's transmit queue holds
+its jobs as they are: a query id to rebroadcast or the :class:`ReplyCopy` to
+forward.
+
 Timing model: every transmission (broadcast or unicast) occupies the
 sender's radio for one service time, so per-hop latency is the sender's
 queue wait plus the transmission delay.  A query broadcast is one event:
@@ -30,9 +35,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
 from heapq import heappop, heappush
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -171,16 +175,12 @@ def rx_energy(bits: int, e_elec: float) -> float:
 
 
 class Topology:
-    """Static node positions with unit-disk adjacency at either power level."""
+    """Static node positions with unit-disk adjacency at any radio range."""
 
-    def __init__(
-        self, positions: np.ndarray, short_range: float, long_range: float
-    ) -> None:
+    def __init__(self, positions: np.ndarray) -> None:
         self.positions = np.asarray(positions, dtype=float)
         if self.positions.ndim != 2 or self.positions.shape[1] != 2:
             raise ValueError("positions must be an (n, 2) array")
-        self.short_range = float(short_range)
-        self.long_range = float(long_range)
         diff = self.positions[:, None, :] - self.positions[None, :, :]
         self._dist = np.sqrt((diff**2).sum(axis=-1))
         self._neighbors: dict[float, list[tuple[int, ...]]] = {}
@@ -240,22 +240,13 @@ def build_topology(config: SimConfig) -> Topology:
     for attempt in range(_MAX_TOPOLOGY_ATTEMPTS):
         rng = np.random.default_rng([config.seed, _TOPO_STREAM, attempt])
         positions = rng.uniform(0.0, config.side, size=(config.n, 2))
-        topology = Topology(positions, config.short_range, config.long_range)
+        topology = Topology(positions)
         if HOP_INF not in bfs_hops(topology, SINK, config.short_range):
             return topology
     raise TopologyUnconnectable(
         f"no connected placement in {_MAX_TOPOLOGY_ATTEMPTS} attempts "
         f"(n={config.n}, side={config.side}, range={config.short_range})"
     )
-
-
-class EventKind(Enum):
-    QUERY_START = "query_start"
-    BROADCAST_ARRIVE = "broadcast_arrive"
-    UNICAST_ARRIVE = "unicast_arrive"
-    ACK_ARRIVE = "ack_arrive"
-    ACK_TIMEOUT = "ack_timeout"
-    QUEUE_SERVICE = "queue_service"
 
 
 @dataclass
@@ -268,6 +259,10 @@ class ReplyCopy:
     the neighbour that node first received this copy from; the plain reliable
     class returns the copy there only once no unused edge is left (Tarry's
     traversal).  The source has no parent.
+
+    ``rationales`` lists every transmission attempt, including those lost to
+    a dead receiver, so it does not line up with ``path``.  ``backtracks``
+    holds the ``path`` indices of the nodes reached by a backtrack hop.
     """
 
     hdr: DataRepHeader
@@ -287,30 +282,6 @@ class ReplyCopy:
     drop_reason: str | None = None
     latency: float | None = None
     done: bool = False
-
-
-@dataclass(frozen=True)
-class CopyOutcome:
-    """Immutable per-copy summary kept in :class:`RunMetrics`.
-
-    ``rationales`` lists every transmission attempt, including those lost to
-    a dead receiver, so it does not line up with ``path``.  ``backtracks``
-    holds the ``path`` indices of the nodes reached by a backtrack hop.
-    """
-
-    source: int
-    copy_index: int
-    path_id: int
-    delivered: bool
-    drop_reason: str | None
-    latency: float | None
-    hops: int
-    path: tuple[int, ...]
-    rationales: tuple[str, ...]
-    backtracks: tuple[int, ...]
-    repairs: int
-    failures_seen: int
-    fallback_used: bool
 
 
 @dataclass
@@ -337,8 +308,8 @@ class NodeState:
 class RunMetrics:
     """Everything measured in one run.
 
-    ``packets_received_at_sink`` equals ``replies_delivered``; average
-    dissipated energy is total dissipation over packets received.  Delivery
+    ``copies`` holds the run's finished reply copies.  Average dissipated
+    energy is total dissipation over replies delivered.  Delivery
     probability is per source: the fraction of query sources whose response
     survived to the sink in at least one copy, which is what the redundant
     copies exist to ensure.
@@ -350,17 +321,12 @@ class RunMetrics:
     replies_sent: int
     replies_delivered: int
     latencies: tuple[float, ...]
-    copies: tuple[CopyOutcome, ...]
-    flood_broadcasts: int
+    copies: tuple[ReplyCopy, ...]
     failed_nodes: tuple[int, ...]
     sources: tuple[int, ...]
     hop_counts: tuple[int, ...]
     energy_residual: float
     trace: tuple[tuple, ...] | None = None
-
-    @property
-    def packets_received_at_sink(self) -> int:
-        return self.replies_delivered
 
     @property
     def avg_dissipated_energy(self) -> float:
@@ -376,21 +342,11 @@ class RunMetrics:
 
     @property
     def delivery_probability(self) -> float:
-        dispatched = {c.source for c in self.copies}
+        dispatched = {c.hdr.src for c in self.copies}
         if not dispatched:
             return 0.0
-        delivered = {c.source for c in self.copies if c.delivered}
+        delivered = {c.hdr.src for c in self.copies if c.delivered}
         return len(delivered) / len(dispatched)
-
-
-@dataclass
-class _FloodTx:
-    query_id: int
-
-
-@dataclass
-class _ReplyTx:
-    copy: ReplyCopy
 
 
 class Simulation:
@@ -424,9 +380,9 @@ class Simulation:
         ]
         self.now = 0.0
         self._seq = 0
-        # (time, insertion order, kind, node, data); insertion order is unique,
-        # so ties on time never compare the rest
-        self._heap: list[tuple[float, int, EventKind, int, object]] = []
+        # (time, insertion order, handler, node, data); insertion order is
+        # unique, so ties on time never compare the rest
+        self._heap: list[tuple[float, int, Callable, int, object]] = []
         self.dissipated = 0.0
         self.flood_broadcasts = 0
         self.copies: list[ReplyCopy] = []
@@ -475,51 +431,37 @@ class Simulation:
         self._trace("node_died", node.id, -1, -1, "energy_exhausted")
         return False
 
-    def _schedule(self, time: float, kind: EventKind, node: int, data: object = None) -> None:
+    def _schedule(
+        self, time: float, handler: Callable, node: int, data: object = None
+    ) -> None:
         assert time >= self.now, "cannot schedule into the past"
-        heappush(self._heap, (time, self._seq, kind, node, data))
+        heappush(self._heap, (time, self._seq, handler, node, data))
         self._seq += 1
 
     def _drain(self) -> None:
         while self._heap:
-            time, _, kind, node, data = heappop(self._heap)
+            time, _, handler, node, data = heappop(self._heap)
             assert time >= self.now, "event queue went backwards"
             self.now = time
-            self._dispatch(kind, node, data)
-
-    def _dispatch(self, kind: EventKind, node: int, data: object) -> None:
-        if kind is EventKind.QUEUE_SERVICE:
-            self._on_queue_service(node)
-        elif kind is EventKind.BROADCAST_ARRIVE:
-            self._on_broadcast_arrive(node, data)
-        elif kind is EventKind.UNICAST_ARRIVE:
-            self._on_unicast_arrive(node, data)
-        elif kind is EventKind.ACK_ARRIVE:
-            self._trace("ack_arrive", data, node, -1, "ok")
-        elif kind is EventKind.ACK_TIMEOUT:
-            self._on_ack_timeout(node, data)
-        elif kind is EventKind.QUERY_START:
-            self._trace("query_start", node, -1, data, "")
-            self._enqueue_tx(self.nodes[node], _FloodTx(data))
-        else:  # pragma: no cover - enum is closed
-            raise AssertionError(f"unhandled event kind {kind}")
+            handler(node, data)
 
     # ------------------------------------------------------------------
     # transmit queue
 
-    def _enqueue_tx(self, node: NodeState, job: object) -> None:
+    def _enqueue_tx(self, node: NodeState, job: int | ReplyCopy) -> None:
+        """Queue a query id to rebroadcast or a reply copy to forward."""
         node.tx_queue.append(job)
         if not node.transmitting:
-            self._schedule(self.now, EventKind.QUEUE_SERVICE, node.id)
+            self._schedule(self.now, self._on_queue_service, node.id)
 
     def _flush_dead_queue(self, node: NodeState) -> None:
         while node.tx_queue:
             job = node.tx_queue.popleft()
-            if isinstance(job, _ReplyTx) and not job.copy.done:
-                self._finish_copy(job.copy, delivered=False, reason="sender_died")
+            if isinstance(job, ReplyCopy) and not job.done:
+                self._finish_copy(job, delivered=False, reason="sender_died")
         node.transmitting = False
 
-    def _on_queue_service(self, node_id: int) -> None:
+    def _on_queue_service(self, node_id: int, _data: None) -> None:
         node = self.nodes[node_id]
         if not node.alive:
             self._flush_dead_queue(node)
@@ -531,14 +473,14 @@ class Simulation:
         if not node.tx_queue:
             return
         job = node.tx_queue.popleft()
-        if isinstance(job, _FloodTx):
-            started = self._transmit_flood(node, job)
+        if isinstance(job, ReplyCopy):
+            started = self._transmit_reply(node, job)
         else:
-            started = self._transmit_reply(node, job.copy)
+            started = self._transmit_flood(node, job)
         if not node.alive:
             self._flush_dead_queue(node)
         elif not started and node.tx_queue:
-            self._schedule(self.now, EventKind.QUEUE_SERVICE, node.id)
+            self._schedule(self.now, self._on_queue_service, node.id)
 
     # ------------------------------------------------------------------
     # query flood
@@ -556,10 +498,14 @@ class Simulation:
             fit.self_energy = node.energy
             node.has_broadcast = False
             node.flood_pending = False
-        self._schedule(self.now, EventKind.QUERY_START, SINK, query_id)
+        self._schedule(self.now, self._on_query_start, SINK, query_id)
         self._drain()
 
-    def _transmit_flood(self, node: NodeState, job: _FloodTx) -> bool:
+    def _on_query_start(self, sink_id: int, query_id: int) -> None:
+        self._trace("query_start", sink_id, -1, query_id, "")
+        self._enqueue_tx(self.nodes[sink_id], query_id)
+
+    def _transmit_flood(self, node: NodeState, query_id: int) -> bool:
         node.flood_pending = False
         if node.fit.self_hop >= HOP_INF:
             return False
@@ -567,7 +513,7 @@ class Simulation:
             return False
         advert = advert_from_fit(node.fit)
         hdr = DataReqHeader(
-            query_id=job.query_id,
+            query_id=query_id,
             tos=tos_encode(self.qos),
             sender_id=node.id,
             sender_energy=advert.sender_energy,
@@ -577,17 +523,17 @@ class Simulation:
         node.has_broadcast = True
         node.transmitting = True
         node.tx_end = self.now + self.config.service_time
-        self._schedule(node.tx_end, EventKind.QUEUE_SERVICE, node.id)
+        self._schedule(node.tx_end, self._on_queue_service, node.id)
         self.flood_broadcasts += 1
         if self._trace_lines is not None:
             self._trace(
                 "broadcast",
                 node.id,
                 -1,
-                job.query_id,
+                query_id,
                 f"hop={hdr.sender_hop} energy={hdr.sender_energy:.9f}",
             )
-        self._schedule(node.tx_end, EventKind.BROADCAST_ARRIVE, node.id, hdr)
+        self._schedule(node.tx_end, self._on_broadcast_arrive, node.id, hdr)
         return True
 
     def _on_broadcast_arrive(self, sender_id: int, hdr: DataReqHeader) -> None:
@@ -614,7 +560,7 @@ class Simulation:
                 and node.fit.self_hop < HOP_INF
             ):
                 node.flood_pending = True
-                self._enqueue_tx(node, _FloodTx(hdr.query_id))
+                self._enqueue_tx(node, hdr.query_id)
 
     # ------------------------------------------------------------------
     # failures
@@ -704,9 +650,7 @@ class Simulation:
                     firsts = (primary.next_hop, *alternates)
                 first_rationale = Rationale.PRIMARY_RELIABLE
             else:
-                paths = paths_delay_reliable(node.fit, self._wait)
-                if paths is not None:
-                    firsts = paths.first_hops
+                firsts = paths_delay_reliable(node.fit, self._wait) or ()
                 first_rationale = Rationale.MIN_WAIT
             if not firsts:
                 return dead_batch()
@@ -719,7 +663,7 @@ class Simulation:
                     src_id, k, path_id, firsts[path_id], rationale, self.now
                 )
                 copies.append(copy)
-                self._enqueue_tx(node, _ReplyTx(copy))
+                self._enqueue_tx(node, copy)
             for first in firsts:
                 pct_observe((node.pct,), first, src_id, SINK)
         else:
@@ -728,7 +672,7 @@ class Simulation:
             for k in range(n_copies):
                 copy = self._new_copy(src_id, k, 0, None, None, None)
                 copies.append(copy)
-                self._enqueue_tx(node, _ReplyTx(copy))
+                self._enqueue_tx(node, copy)
         return copies
 
     def _route(self, node: NodeState, copy: ReplyCopy) -> RouteDecision | None:
@@ -865,7 +809,7 @@ class Simulation:
             return False
         if copy.forced_next is not None:
             target = copy.forced_next
-            rationale = copy.forced_rationale or Rationale.PRIMARY_RELIABLE
+            rationale = copy.forced_rationale
             copy.forced_next = None
             copy.forced_rationale = None
             if self.qos in _RELIABLE_CLASSES:
@@ -894,16 +838,12 @@ class Simulation:
             return False
         node.transmitting = True
         node.tx_end = self.now + self.config.service_time
-        self._schedule(node.tx_end, EventKind.QUEUE_SERVICE, node.id)
-        # The plain reliable class runs the link-layer acknowledgement and
-        # repairs around detected failures; the delay-sensitive hybrid cannot
-        # afford acknowledgement timeouts and relies on path redundancy.
-        with_ack = self.qos is QosClass.RELIABLE
+        self._schedule(node.tx_end, self._on_queue_service, node.id)
         self._schedule(
             node.tx_end,
-            EventKind.UNICAST_ARRIVE,
+            self._on_unicast_arrive,
             target,
-            (node.id, copy, with_ack, rationale is Rationale.BACKTRACK),
+            (node.id, copy, rationale is Rationale.BACKTRACK),
         )
         if self._trace_lines is not None:
             self._trace(
@@ -916,8 +856,12 @@ class Simulation:
         return True
 
     def _on_unicast_arrive(self, receiver_id: int, data: tuple) -> None:
-        sender_id, copy, with_ack, backtrack = data
+        sender_id, copy, backtrack = data
         receiver = self.nodes[receiver_id]
+        # The plain reliable class runs the link-layer acknowledgement and
+        # repairs around detected failures; the delay-sensitive hybrid cannot
+        # afford acknowledgement timeouts and relies on path redundancy.
+        with_ack = self.qos is QosClass.RELIABLE
         if self.qos in _RELIABLE_CLASSES:
             # The header is overheard across the sender's neighbourhood and
             # feeds the path construction tables of the reliable classes:
@@ -942,7 +886,7 @@ class Simulation:
             if with_ack:
                 self._schedule(
                     self.now + self.config.ack_timeout,
-                    EventKind.ACK_TIMEOUT,
+                    self._on_ack_timeout,
                     sender_id,
                     (receiver_id, copy),
                 )
@@ -950,7 +894,7 @@ class Simulation:
                 self._finish_copy(copy, delivered=False, reason="dead_next_hop")
             return
         if with_ack:
-            self._schedule(self.now, EventKind.ACK_ARRIVE, sender_id, receiver_id)
+            self._schedule(self.now, self._on_ack_arrive, sender_id, receiver_id)
         copy.hops += 1
         if backtrack:
             copy.backtracks.append(len(copy.path))
@@ -962,7 +906,10 @@ class Simulation:
             copy.parent.setdefault(receiver_id, sender_id)
         copy.hdr.prev_hop = sender_id
         copy.hdr.ttl -= 1
-        self._enqueue_tx(receiver, _ReplyTx(copy))
+        self._enqueue_tx(receiver, copy)
+
+    def _on_ack_arrive(self, sender_id: int, receiver_id: int) -> None:
+        self._trace("ack_arrive", receiver_id, sender_id, -1, "ok")
 
     def _on_ack_timeout(self, sender_id: int, data: tuple) -> None:
         failed_id, copy = data
@@ -976,7 +923,7 @@ class Simulation:
             return
         sender.fit = remove_failed(sender.fit, failed_id)
         copy.repairs += 1
-        self._enqueue_tx(sender, _ReplyTx(copy))
+        self._enqueue_tx(sender, copy)
 
     def _finish_copy(
         self, copy: ReplyCopy, delivered: bool, reason: str | None = None
@@ -1025,24 +972,6 @@ class Simulation:
 
     def metrics(self) -> RunMetrics:
         delivered = [c for c in self.copies if c.delivered]
-        outcomes = tuple(
-            CopyOutcome(
-                source=c.hdr.src,
-                copy_index=c.hdr.copy_index,
-                path_id=c.hdr.path_id,
-                delivered=c.delivered,
-                drop_reason=c.drop_reason,
-                latency=c.latency,
-                hops=c.hops,
-                path=tuple(c.path),
-                rationales=tuple(c.rationales),
-                backtracks=tuple(c.backtracks),
-                repairs=c.repairs,
-                failures_seen=c.failures_seen,
-                fallback_used=c.fallback_used,
-            )
-            for c in self.copies
-        )
         return RunMetrics(
             qos=self.qos,
             config=self.config,
@@ -1050,8 +979,7 @@ class Simulation:
             replies_sent=len(self.copies),
             replies_delivered=len(delivered),
             latencies=tuple(c.latency for c in delivered),
-            copies=outcomes,
-            flood_broadcasts=self.flood_broadcasts,
+            copies=tuple(self.copies),
             failed_nodes=self.failed_nodes,
             sources=self.sources,
             hop_counts=tuple(node.fit.self_hop for node in self.nodes),

@@ -298,7 +298,7 @@ def check_delay_selector_equivalence(max_size=4):
         if expected is None:
             assert paths is None
         else:
-            assert (paths.primary, paths.alternates) == expected, (fit, queues)
+            assert (paths[0], paths[1:]) == expected, (fit, queues)
         count += 1
     return count
 

@@ -134,13 +134,13 @@ def test_criterion_4_reliable_class_delivery_guarantee(failure_runs):
             for seed in ACCEPT_SEEDS:
                 metrics = failure_runs[(R, n, fraction, seed)]
                 connected = _connected_sources(metrics)
-                delivered = {c.source for c in metrics.copies if c.delivered}
+                delivered = {c.hdr.src for c in metrics.copies if c.delivered}
                 delivered_total += len(delivered)
                 severed_total += len(metrics.sources) - len(connected)
                 for src in metrics.sources:
                     if (src in delivered) != (src in connected):
                         reasons = [
-                            c.drop_reason for c in metrics.copies if c.source == src
+                            c.drop_reason for c in metrics.copies if c.hdr.src == src
                         ]
                         violating.append((n, fraction, seed, src, reasons))
     print(
@@ -174,7 +174,7 @@ def test_criterion_5_reliability_ordering(failure_runs):
                 for seed in ACCEPT_SEEDS:
                     metrics = failure_runs[(qos, n, fraction, seed)]
                     sources = _connected_sources(metrics)
-                    got = {c.source for c in metrics.copies if c.delivered}
+                    got = {c.hdr.src for c in metrics.copies if c.delivered}
                     assert got <= sources, f"{qos.value} crossed a cut at n={n}"
                     reached += len(sources)
                     delivered += len(got)
@@ -275,7 +275,7 @@ def test_criterion_8_property_suites(energy_latency_runs, failure_runs):
             continue
         for copy in metrics.copies:
             if copy.delivered and not copy.fallback_used:
-                assert copy.hops == metrics.hop_counts[copy.source]
+                assert copy.hops == metrics.hop_counts[copy.hdr.src]
                 checked += 1
     assert checked > 0
     print(f"  normal-class path-length check on {checked} delivered copies")

@@ -67,7 +67,7 @@ class TestPegasisLifetime:
         return SimConfig(n=4, side=10.0, seed=0, e_init=0.005)
 
     def test_four_node_hand_audit(self):
-        topo = Topology(self.LINE, 15.0, 30.0)
+        topo = Topology(self.LINE)
         result = run_pegasis_lifetime(
             self._config(), 0.0, bs_position=(4.5, 100.0), topology=topo
         )

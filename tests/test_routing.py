@@ -22,9 +22,7 @@ from oracles import (
 )
 from qwsn.routing import (
     PCT_CAPACITY,
-    PathSet,
     Pct,
-    PctEntry,
     Rationale,
     alternates_reliable,
     next_hop_delay,
@@ -154,11 +152,11 @@ class TestAlternatesReliable:
 class TestPct:
     def test_insert(self):
         pct = observed((5, SRC, DST))
-        assert tuple(pct.rows) == (PctEntry(5, SRC, DST),)
+        assert tuple(pct.rows) == ((5, SRC, DST),)
 
     def test_duplicate_is_noop(self):
         pct = observed((5, SRC, DST), (6, SRC, DST), (5, SRC, DST))
-        assert tuple(pct.rows) == (PctEntry(5, SRC, DST), PctEntry(6, SRC, DST))
+        assert tuple(pct.rows) == ((5, SRC, DST), (6, SRC, DST))
 
     def test_fifo_eviction_at_capacity(self):
         pct = Pct()
@@ -166,8 +164,8 @@ class TestPct:
             pct_observe((pct,), i, SRC, DST)
         rows = tuple(pct.rows)
         assert len(rows) == PCT_CAPACITY
-        assert rows[0] == PctEntry(1, SRC, DST)  # row 0 evicted
-        assert rows[-1] == PctEntry(PCT_CAPACITY, SRC, DST)
+        assert rows[0] == (1, SRC, DST)  # row 0 evicted
+        assert rows[-1] == (PCT_CAPACITY, SRC, DST)
 
     def test_rows_unique(self):
         pct = Pct()
@@ -234,7 +232,7 @@ class TestNextHopReliable:
         fit = make_fit([entry(1, hop=1), entry(2, hop=2)])
         decision, pct = next_hop_reliable(fit, Pct(), SRC, DST)
         assert decision.next_hop == 1
-        assert PctEntry(1, SRC, DST) in pct.rows
+        assert (1, SRC, DST) in pct.rows
 
     def test_blocked_for_same_pair(self):
         fit = make_fit([entry(1, hop=1), entry(2, hop=2)])
@@ -319,18 +317,16 @@ class TestPathsDelayReliable:
     def test_primary_and_next_least_wait(self):
         fit = make_fit([entry(1, hop=1), entry(2, hop=1), entry(3, hop=2)])
         paths = paths_delay_reliable(fit, waits({1: 2, 2: 4, 3: 1}))
-        assert paths.primary == 3
-        assert paths.alternates == (1,)
+        assert paths == (3, 1)
 
     def test_single_neighbor(self):
         paths = paths_delay_reliable(make_fit([entry(4, hop=1)]), waits({4: 0}))
-        assert paths == PathSet(4, ())
+        assert paths == (4,)
 
     def test_tie_break_keeps_first_hops_distinct(self):
         fit = make_fit([entry(1, hop=1), entry(2, hop=1)])
         paths = paths_delay_reliable(fit, waits({1: 0, 2: 0}))
-        assert paths.primary == 1
-        assert paths.alternates == (2,)
+        assert paths == (1, 2)
 
     def test_empty_table(self):
         assert paths_delay_reliable(make_fit([]), waits({})) is None
@@ -343,9 +339,8 @@ class TestPathsDelayReliable:
             fit = make_fit([entry(i + 1, hop=1 + i % 2) for i in range(3)])
             paths = paths_delay_reliable(fit, waits(queues))
             primary, alternates = oracle_paths_delay_reliable(fit, queues)
-            assert paths.primary == primary
-            assert paths.alternates == alternates
-            assert paths.primary not in paths.alternates
+            assert paths == (primary, *alternates)
+            assert len(set(paths)) == len(paths)
 
 
 class TestDelayReliableIntermediate:

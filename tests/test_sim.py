@@ -35,7 +35,7 @@ def line_config(**kw):
 
 
 def line_topology():
-    return Topology(np.array([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0]]), 15.0, 30.0)
+    return Topology(np.array([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0]]))
 
 
 class TestConfig:
@@ -103,7 +103,7 @@ class TestBfs:
         assert bfs_hops(line_topology(), 0, 15.0) == [0, 1, 2]
 
     def test_unreachable_is_sentinel(self):
-        topo = Topology(np.array([[0.0, 0.0], [100.0, 0.0]]), 15.0, 30.0)
+        topo = Topology(np.array([[0.0, 0.0], [100.0, 0.0]]))
         assert bfs_hops(topo, 0, 15.0) == [0, HOP_INF]
 
     def test_dead_mask_respected(self):
@@ -247,7 +247,7 @@ class TestFlood:
 def diamond_topology():
     """Sink 0 and source 3 with two equal-hop relays 1 and 2 between them."""
     positions = np.array([[0.0, 0.0], [10.0, 5.0], [10.0, -5.0], [20.0, 0.0]])
-    return Topology(positions, 10.0, 15.0)
+    return Topology(positions)
 
 
 class TestWaitRanking:
@@ -306,7 +306,7 @@ class TestUnicastWithAck:
         # relay next to the dead one is the sender that times out
         cfg = line_config(n=6, side=50.0)
         positions = np.array([[10.0 * i, 0.0] for i in range(cfg.n)])
-        topology = Topology(positions, cfg.short_range, cfg.long_range)
+        topology = Topology(positions)
         sim = Simulation(cfg, QosClass.RELIABLE, topology=topology, collect_trace=True)
         sim.run_flood(0)
         victim = case + 1
@@ -327,7 +327,7 @@ class TestOverhearing:
             [[0.0, 0.0], [10.0, 0.0], [20.0, 0.0], [10.0, 10.0], [20.0, 10.0]]
         )
         cfg = line_config(n=5, side=20.0)
-        topology = Topology(positions, cfg.short_range, cfg.long_range)
+        topology = Topology(positions)
         sim = Simulation(cfg, QosClass.RELIABLE, topology=topology, collect_trace=True)
         sim.run_flood(0)
         relay = sim.nodes[3]
@@ -421,7 +421,7 @@ class TestDeliverReplies:
     def test_reliable_survives_failed_primary_via_alternate(self):
         # square: sink(0), two relays(1, 2), source(3); relay 1 dies
         positions = np.array([[0.0, 0.0], [11.0, 0.0], [0.0, 11.0], [11.0, 11.0]])
-        topo = Topology(positions, 15.0, 30.0)
+        topo = Topology(positions)
         cfg = SimConfig(n=4, side=12.0, seed=0)
         sim = Simulation(cfg, QosClass.RELIABLE, topology=topo)
         sim.run_flood(0)
@@ -449,7 +449,7 @@ class TestDeliverReplies:
                 [0.0, -12.0], [0.0, -24.0], [12.0, -24.0], [24.0, -24.0],
             ]
         )
-        topo = Topology(positions, 15.0, 30.0)
+        topo = Topology(positions)
         cfg = SimConfig(n=len(positions), side=50.0, seed=0)
         sim = Simulation(cfg, QosClass.RELIABLE, topology=topo)
         sim.run_flood(0)
@@ -510,7 +510,7 @@ class TestSimulateQueryRound:
     def test_average_energy_is_total_over_received(self):
         m = simulate_query_round(line_config(n=40, side=60.0, seed=2), QosClass.NORMAL)
         assert m.avg_dissipated_energy == pytest.approx(
-            m.total_energy_dissipated / m.packets_received_at_sink
+            m.total_energy_dissipated / m.replies_delivered
         )
 
     def test_three_sources_three_copies(self):
