@@ -9,7 +9,8 @@ Subcommands:
 
 The ``QWSN_SEED`` environment variable (comma list) overrides the scenario's
 seed list.  Exit codes: 0 success, 2 parse/range error in the scenario, in
-``QWSN_SEED`` or in the cell arguments (one ``error:`` line on stderr), 3 when
+``QWSN_SEED`` or in the cell arguments, or a scenario that cannot be read or
+an output that cannot be written (one ``error:`` line on stderr each), 3 when
 every sweep cell was skipped as unconnectable.
 """
 
@@ -107,18 +108,21 @@ def _parse_env_seeds(value: str) -> tuple[int, ...]:
     )
 
 
+def _error(exc: Exception, code: int = EXIT_PARSE) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def _cmd_cell(args: argparse.Namespace, with_trace: bool) -> int:
     try:
         config = sim_config(ScenarioConfig(), args.nodes, args.failure, args.seed)
     except ValueError as exc:  # RangeError included
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _error(exc)
     qos = QosClass(args.qos)
     try:
         metrics = simulate_query_round(config, qos, collect_trace=with_trace)
     except TopologyUnconnectable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNCONNECTABLE
+        return _error(exc, EXIT_UNCONNECTABLE)
     print(
         f"qos={qos.value} n={config.n} seed={config.seed} "
         f"failure={config.failure_fraction:g} "
@@ -126,28 +130,34 @@ def _cmd_cell(args: argparse.Namespace, with_trace: bool) -> int:
         f"avg_energy={metrics.avg_dissipated_energy:.9f} J/packet "
         f"avg_latency={metrics.avg_latency:.9f} s"
     )
-    if args.out is not None:
-        emit_csv(harness.MetricsTable(rows=[harness.metrics_row(metrics)]), args.out)
-    if with_trace:
-        args.trace.write_text(format_trace(metrics.trace), encoding="utf-8")
-        print(f"trace written to {args.trace}")
+    try:
+        if args.out is not None:
+            table = harness.MetricsTable(rows=[harness.metrics_row(metrics)])
+            emit_csv(table, args.out)
+        if with_trace:
+            args.trace.write_text(format_trace(metrics.trace), encoding="utf-8")
+            print(f"trace written to {args.trace}")
+    except OSError as exc:
+        return _error(exc)
     return EXIT_OK
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         scenario = _load_scenario(args.scenario)
-    except (ParseError, RangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except (OSError, ParseError, RangeError) as exc:
+        return _error(exc)
     table = run_sweep(scenario)
     out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    emit_csv(table, out / "metrics.csv")
-    emit_means_csv(table, out / "means.csv")
-    for figure, (_, fraction) in FIGURES.items():
-        if any(m.failure_fraction == fraction for m in table.means):
-            emit_series(table, figure, out / f"{figure}.tsv")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        emit_csv(table, out / "metrics.csv")
+        emit_means_csv(table, out / "means.csv")
+        for figure, (_, fraction) in FIGURES.items():
+            if any(m.failure_fraction == fraction for m in table.means):
+                emit_series(table, figure, out / f"{figure}.tsv")
+    except OSError as exc:
+        return _error(exc)
     if table.skipped:
         print(f"skipped {len(table.skipped)} unconnectable cell(s)", file=sys.stderr)
     if not table.rows:
@@ -160,23 +170,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     try:
         scenario = _load_scenario(args.scenario)
-    except (ParseError, RangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except (OSError, ParseError, RangeError) as exc:
+        return _error(exc)
     config = compare_config(scenario, scenario.seeds[0])
     try:
         rows = compare_case4(
-            config,
-            scenario.compare_fractions,
-            bs_position=(scenario.bs_x, scenario.bs_y),
+            config, scenario.compare_fractions, (scenario.bs_x, scenario.bs_y)
         )
     except TopologyUnconnectable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNCONNECTABLE
+        return _error(exc, EXIT_UNCONNECTABLE)
     out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    emit_comparison_csv(rows, out / "pegasis_comparison.csv")
-    emit_comparison_series(rows, out / "fig8.tsv")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        emit_comparison_csv(rows, out / "pegasis_comparison.csv")
+        emit_comparison_series(rows, out / "fig8.tsv")
+    except OSError as exc:
+        return _error(exc)
     for row in rows:
         print(
             f"failure={row.failure_fraction:g}: "

@@ -2,7 +2,10 @@
 
 A scenario is a line-oriented ``key=value`` file (``#`` comments, comma
 lists) describing a sweep over network sizes, service classes, failure
-fractions and topology seeds.  Every cell of the sweep is one seeded run;
+fractions and topology seeds.  Every other per-run key sets the
+:class:`SimConfig` field of the same name in ``ScenarioConfig.run``, and
+that config alone range-checks them.  Every cell of the sweep is one seeded
+run: ``run`` with the cell's size, side, seed and failure fraction.  The
 deployment area grows with the node count so density stays at the 50-node /
 70 m baseline.  For a fixed (n, fraction, seed) all service classes see the
 same node placement, the same sources and the same failed nodes, so the
@@ -16,7 +19,7 @@ seed) regardless of execution order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -79,24 +82,17 @@ def derive_side(n: int) -> float:
 
 @dataclass
 class ScenarioConfig:
-    """Sweep definition plus the per-run parameters shared by every cell."""
+    """Sweep definition plus the run config every cell starts from.
+
+    ``run``'s size, side, seed and failure fraction are placeholders: each
+    cell sets its own.
+    """
 
     sizes: tuple[int, ...] = (50,)
     qos: tuple[QosClass, ...] = QOS_ORDER
     failures: tuple[float, ...] = (0.0,)
     seeds: tuple[int, ...] = tuple(range(10))
-    short_range: float = 15.0
-    long_range: float = 30.0
-    e_init: float = 0.5
-    e_threshold: float = 0.01
-    e_elec: float = 50e-9
-    eps_amp: float = 100e-12
-    packet_bits: int = 1000
-    service_time: float = 0.004
-    ack_timeout: float = 0.05
-    copies: int = 3
-    sources: int = 3
-    ttl: int | None = None
+    run: SimConfig = SimConfig()
     # lifetime-comparison scenario (base station outside the area)
     compare_n: int = 100
     compare_side: float = 50.0
@@ -109,21 +105,13 @@ class ScenarioConfig:
 
 _INT_LIST_KEYS = {"sizes", "seeds"}
 _FLOAT_LIST_KEYS = {"failures", "compare_fractions"}
-_INT_KEYS = {"packet_bits", "copies", "sources", "compare_n"}
-_FLOAT_KEYS = {
-    "short_range",
-    "long_range",
-    "e_init",
-    "e_threshold",
-    "e_elec",
-    "eps_amp",
-    "service_time",
-    "ack_timeout",
-    "compare_side",
-    "compare_range",
-    "compare_e_init",
-    "bs_x",
-    "bs_y",
+_FLOAT_KEYS = {"compare_side", "compare_range", "compare_e_init", "bs_x", "bs_y"}
+# Per-run keys: every SimConfig field a sweep cell does not set, mapped to
+# its annotation ("float", "int" or "int | None").
+_RUN_KEYS = {
+    f.name: f.type
+    for f in fields(SimConfig)
+    if f.name not in ("n", "side", "seed", "failure_fraction")
 }
 
 
@@ -143,6 +131,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     """Parse scenario text; unknown keys and bad syntax raise ParseError,
     legal syntax with illegal values raises RangeError."""
     scenario = ScenarioConfig()
+    run: dict[str, object] = {}
     seen: set[str] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -161,14 +150,20 @@ def parse_scenario(text: str) -> ScenarioConfig:
                 parsed: object = tuple(int(v) for v in value.split(","))
             elif key in _FLOAT_LIST_KEYS:
                 parsed = tuple(float(v) for v in value.split(","))
-            elif key in _INT_KEYS:
-                parsed = int(value)
             elif key in _FLOAT_KEYS:
                 parsed = float(value)
+            elif key == "compare_n":
+                parsed = int(value)
             elif key == "qos":
                 parsed = _parse_qos_list(value, line_no)
-            elif key == "ttl":
-                parsed = None if value.lower() == "auto" else int(value)
+            elif key in _RUN_KEYS:
+                kind = _RUN_KEYS[key]
+                if kind == "float":
+                    run[key] = float(value)
+                else:
+                    auto = kind == "int | None" and value.lower() == "auto"
+                    run[key] = None if auto else int(value)
+                continue
             elif key in ("failure", "failure_fraction"):
                 key = "failures"
                 parsed = tuple(float(v) for v in value.split(","))
@@ -180,7 +175,14 @@ def parse_scenario(text: str) -> ScenarioConfig:
             raise ParseError(f"bad value for {key}: {exc}", line_no) from None
         setattr(scenario, key, parsed)
         _check_range(scenario, key, line_no)
-    _validate(scenario)
+    try:
+        scenario.run = replace(scenario.run, **run)
+    except ValueError as exc:
+        raise RangeError(str(exc)) from None
+    try:
+        compare_config(scenario, scenario.seeds[0])
+    except ValueError as exc:  # RangeError included
+        raise RangeError(f"compare block: {exc}") from None
     return scenario
 
 
@@ -195,51 +197,22 @@ def _check_range(scenario: ScenarioConfig, key: str, line: int) -> None:
     elif key in ("failures", "compare_fractions"):
         if any(not (0.0 <= f < 1.0) for f in value):
             raise RangeError(f"failure fractions must be in [0, 1): {value}", line)
-    elif key in _FLOAT_KEYS:
-        if not math.isfinite(value):
-            raise RangeError(f"{key} must be finite: {value}", line)
-        if value < 0 and key not in ("bs_x", "bs_y"):
-            raise RangeError(f"{key} must be non-negative: {value}", line)
-    elif key in _INT_KEYS and value < 1:
-        raise RangeError(f"{key} must be positive: {value}", line)
-    elif key == "ttl" and value is not None and value < 0:
-        raise RangeError(f"ttl must be non-negative: {value}", line)
-
-
-def _validate(scenario: ScenarioConfig) -> None:
-    """Cross-key checks; the compare block must make a valid run config."""
-    if scenario.short_range >= scenario.long_range:
-        raise RangeError(
-            f"short_range must be below long_range: "
-            f"{scenario.short_range} >= {scenario.long_range}"
-        )
-    try:
-        compare_config(scenario, scenario.seeds[0])
-    except ValueError as exc:  # RangeError included
-        raise RangeError(f"compare block: {exc}") from None
+    elif key in ("bs_x", "bs_y") and not math.isfinite(value):
+        # The base station sits outside the field, so no sign is wrong; the
+        # rest of the compare block is checked as a run config.
+        raise RangeError(f"{key} must be finite: {value}", line)
 
 
 def sim_config(
     scenario: ScenarioConfig, n: int, failure_fraction: float, seed: int
 ) -> SimConfig:
     """Config for one sweep cell; the side is derived to hold density constant."""
-    return SimConfig(
+    return replace(
+        scenario.run,
         n=n,
         side=derive_side(n),
-        short_range=scenario.short_range,
-        long_range=scenario.long_range,
         seed=seed,
-        e_init=scenario.e_init,
-        e_threshold=scenario.e_threshold,
-        e_elec=scenario.e_elec,
-        eps_amp=scenario.eps_amp,
-        packet_bits=scenario.packet_bits,
-        service_time=scenario.service_time,
-        ack_timeout=scenario.ack_timeout,
-        copies_per_query=scenario.copies,
-        sources=scenario.sources,
         failure_fraction=failure_fraction,
-        ttl=scenario.ttl,
     )
 
 
@@ -309,40 +282,48 @@ class MetricsTable:
 def run_sweep(scenario: ScenarioConfig, keep_runs: bool = False) -> MetricsTable:
     """One run per (class, size, fraction, seed) cell, then per-group means.
 
-    Unconnectable cells are recorded under ``skipped`` and never abort the
-    sweep.  Topologies are cached per (n, seed), which also guarantees every
-    class sees identical placements.
+    Each (size, seed) topology is built once, every cell on it is run, and
+    it is dropped; so every class sees identical placements.  Rows, means,
+    ``skipped`` and ``runs`` are then assembled in (class, size, fraction,
+    seed) order.  Unconnectable cells are recorded under ``skipped`` and
+    never abort the sweep.
     """
-    table = MetricsTable()
-    topologies: dict[tuple[int, int], object] = {}
-    for qos in scenario.qos:
-        for n in scenario.sizes:
-            for fraction in scenario.failures:
-                for seed in scenario.seeds:
-                    config = sim_config(scenario, n, fraction, seed)
-                    key = (n, seed)
-                    try:
-                        topology = topologies.get(key)
-                        if topology is None:
-                            topology = build_topology(config)
-                            topologies[key] = topology
-                        metrics = simulate_query_round(config, qos, topology=topology)
-                    except TopologyUnconnectable:
-                        table.skipped.append((qos, n, fraction, seed))
+    rows: dict[tuple[QosClass, int, float, int], MetricsRow | None] = {}
+    kept: dict[tuple[QosClass, int, float, int], RunMetrics] = {}
+    for n in scenario.sizes:
+        for seed in scenario.seeds:
+            try:
+                topology = build_topology(sim_config(scenario, n, 0.0, seed))
+            except TopologyUnconnectable:
+                topology = None
+            for qos in scenario.qos:
+                for fraction in scenario.failures:
+                    key = (qos, n, fraction, seed)
+                    rows[key] = None
+                    if topology is None:
                         continue
-                    table.rows.append(metrics_row(metrics))
+                    config = sim_config(scenario, n, fraction, seed)
+                    metrics = simulate_query_round(config, qos, topology=topology)
+                    rows[key] = metrics_row(metrics)
                     if keep_runs:
-                        table.runs[(qos, n, fraction, seed)] = metrics
+                        kept[key] = metrics
+    table = MetricsTable()
     for qos in scenario.qos:
         for n in scenario.sizes:
             for fraction in scenario.failures:
-                group = [
-                    r
-                    for r in table.rows
-                    if r.qos is qos and r.n == n and r.failure_fraction == fraction
-                ]
+                group = []
+                for seed in scenario.seeds:
+                    key = (qos, n, fraction, seed)
+                    row = rows[key]
+                    if row is None:
+                        table.skipped.append(key)
+                        continue
+                    group.append(row)
+                    if keep_runs:
+                        table.runs[key] = kept[key]
                 if not group:
                     continue
+                table.rows.extend(group)
                 table.means.append(
                     MeanRow(
                         qos=qos,
@@ -451,8 +432,5 @@ def emit_comparison_series(rows: Iterable[ComparisonRow], path: str | Path) -> N
 
 
 def _write(path: str | Path, lines: list[str]) -> None:
-    try:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -41,8 +41,6 @@ from .sim import (
     tx_energy,
 )
 
-DEFAULT_BS_POSITION = (25.0, 150.0)
-
 # Fraction of dead nodes that ends a lifetime run.
 DEATH_FRACTION = 0.5
 
@@ -72,7 +70,7 @@ class ComparisonRow:
 def build_chain(
     positions: np.ndarray,
     alive: Sequence[bool],
-    bs_position: tuple[float, float] = DEFAULT_BS_POSITION,
+    bs_position: tuple[float, float],
 ) -> list[int]:
     """Greedy nearest-neighbour chain over the alive nodes.
 
@@ -102,21 +100,17 @@ def build_chain(
 
 
 def run_pegasis_lifetime(
-    config: SimConfig,
-    failure_fraction: float = 0.0,
-    bs_position: tuple[float, float] = DEFAULT_BS_POSITION,
-    topology: Topology | None = None,
-    max_rounds: int = _MAX_ROUNDS,
+    config: SimConfig, topology: Topology, bs_position: tuple[float, float]
 ) -> LifetimeResult:
-    """Run chained data gathering until half the nodes are dead.
+    """Run chained data gathering on ``topology`` until half the nodes are dead.
 
+    ``config.failure_fraction`` of the nodes fail before the first round.
     Per round: the chain (dead nodes spliced out) passes one packet per link
     toward the round's leader, charged tx+rx at actual link distance, and the
     leader transmits to the base station at its actual distance.  Returns the
     completed round count and the packets that reached the base station.
     """
-    topo = topology if topology is not None else build_topology(config)
-    positions = topo.positions
+    positions = topology.positions
     bs = np.asarray(bs_position, dtype=float)
     n = config.n
     energy = [config.e_init] * n
@@ -124,9 +118,7 @@ def run_pegasis_lifetime(
     dissipated = 0.0
 
     # Only the sink is exempt, as in the query protocol's lifetime runs.
-    failed = draw_failures(
-        replace(config, failure_fraction=failure_fraction), range(1, n)
-    )
+    failed = draw_failures(config, range(1, n))
     for i in failed:
         alive[i] = False
 
@@ -150,7 +142,7 @@ def run_pegasis_lifetime(
     def link(a: int, b: int) -> None:
         if not alive[a]:
             return
-        dist = topo.distance(a, b)
+        dist = topology.distance(a, b)
         if not spend(a, tx_energy(config.packet_bits, dist, config.e_elec, config.eps_amp)):
             return
         if alive[b]:
@@ -160,7 +152,7 @@ def run_pegasis_lifetime(
     chain = build_chain(positions, alive, bs_position)
     rounds = 0
     packets = 0
-    while rounds < max_rounds:
+    while rounds < _MAX_ROUNDS:
         chain = [i for i in chain if alive[i]]
         if n - len(chain) >= dead_needed or not chain:
             break
@@ -177,7 +169,7 @@ def run_pegasis_lifetime(
             packets += 1
         rounds += 1
     else:
-        raise RuntimeError(f"lifetime run exceeded {max_rounds} rounds")
+        raise RuntimeError(f"lifetime run exceeded {_MAX_ROUNDS} rounds")
 
     return LifetimeResult(
         lifetime_rounds=rounds,
@@ -188,23 +180,18 @@ def run_pegasis_lifetime(
     )
 
 
-def run_case4_lifetime(
-    config: SimConfig,
-    failure_fraction: float = 0.0,
-    topology: Topology | None = None,
-    max_rounds: int = _MAX_ROUNDS,
-) -> LifetimeResult:
+def run_case4_lifetime(config: SimConfig, topology: Topology) -> LifetimeResult:
     """Query rounds sustained by the delay+reliable class until half death.
 
-    The query is flooded once; afterwards each round redraws three sources
+    ``config.failure_fraction`` of the nodes fail after the flood.  The
+    query is flooded once; afterwards each round redraws three sources
     among the survivors and delivers their reply copies with persistent
     batteries.  Per-round re-flooding would drown the comparison in
     dissemination cost, so the converged tables are reused and repaired
     through the acknowledgement mechanism as relays die.
     """
-    cfg = replace(config, failure_fraction=failure_fraction)
     sim = Simulation(
-        cfg,
+        config,
         QosClass.DELAY_RELIABLE,
         topology=topology,
         exempt_sources_from_failure=False,
@@ -215,14 +202,14 @@ def run_case4_lifetime(
     dead_needed = math.ceil(config.n * DEATH_FRACTION)
     rounds = 0
     delivered = 0
-    while rounds < max_rounds:
+    while rounds < _MAX_ROUNDS:
         if sim.dead_count >= dead_needed:
             break
         delivered += sim.run_reply_round(round_index=rounds)
         sim.copies.clear()
         rounds += 1
     else:
-        raise RuntimeError(f"lifetime run exceeded {max_rounds} rounds")
+        raise RuntimeError(f"lifetime run exceeded {_MAX_ROUNDS} rounds")
 
     return LifetimeResult(
         lifetime_rounds=rounds,
@@ -235,18 +222,17 @@ def run_case4_lifetime(
 
 def compare_case4(
     config: SimConfig,
-    failure_fractions: Sequence[float] = (0.0, 0.1, 0.2, 0.3),
-    bs_position: tuple[float, float] = DEFAULT_BS_POSITION,
-    max_rounds: int = _MAX_ROUNDS,
+    fractions: Sequence[float],
+    bs_position: tuple[float, float],
 ) -> list[ComparisonRow]:
-    """Lifetime table for both protocols on matched placements and failures."""
+    """Lifetime table for both protocols on matched placements and failures:
+    one row per failure fraction, both runs on ``config``'s topology."""
     topology = build_topology(config)
     rows = []
-    for fraction in failure_fractions:
-        case4 = run_case4_lifetime(config, fraction, topology, max_rounds)
-        pegasis = run_pegasis_lifetime(
-            config, fraction, bs_position, topology, max_rounds
-        )
+    for fraction in fractions:
+        row_config = replace(config, failure_fraction=fraction)
+        case4 = run_case4_lifetime(row_config, topology)
+        pegasis = run_pegasis_lifetime(row_config, topology, bs_position)
         assert case4.failed_nodes == pegasis.failed_nodes, "failure sets must match"
         rows.append(
             ComparisonRow(

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from heapq import heappop, heappush
 from typing import Callable, Iterable, Sequence
 
@@ -102,36 +102,36 @@ class SimConfig:
     packet_bits: int = 1000
     service_time: float = 0.004
     ack_timeout: float = 0.05
-    copies_per_query: int = 3
+    copies: int = 3
     sources: int = 3
     failure_fraction: float = 0.0
     ttl: int | None = None
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{f.name} must be finite and non-negative: {value}")
         if self.n < 2:
             raise ValueError(f"need at least two nodes, got {self.n}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative: {self.seed}")
-        if self.side <= 0:
-            raise ValueError(f"deployment side must be positive: {self.side}")
+        if self.side == 0:
+            raise ValueError(f"side must be positive: {self.side}")
         if not (0 < self.short_range < self.long_range):
             raise ValueError(
                 f"need 0 < short_range < long_range, got "
                 f"{self.short_range} / {self.long_range}"
             )
-        if not (0.0 <= self.failure_fraction < 1.0):
+        if self.failure_fraction >= 1.0:
             raise ValueError(
-                f"failure fraction must be in [0, 1): {self.failure_fraction}"
+                f"failure_fraction must be below 1: {self.failure_fraction}"
             )
-        for name in ("e_init", "e_threshold", "service_time", "ack_timeout"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.packet_bits <= 0:
-            raise ValueError("packet_bits must be positive")
-        if self.copies_per_query < 1 or self.sources < 1:
-            raise ValueError("need at least one reply copy and one source")
+        for name in ("packet_bits", "copies", "sources"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive: {getattr(self, name)}")
         if self.ttl is not None and self.ttl < 0:
-            raise ValueError("ttl must be non-negative")
+            raise ValueError(f"ttl must be non-negative: {self.ttl}")
 
     @property
     def effective_ttl(self) -> int:
@@ -627,7 +627,7 @@ class Simulation:
     def _dispatch_source(self, src_id: int) -> list[ReplyCopy]:
         node = self.nodes[src_id]
         copies: list[ReplyCopy] = []
-        n_copies = self.config.copies_per_query
+        n_copies = self.config.copies
 
         def dead_batch() -> list[ReplyCopy]:
             for k in range(n_copies):

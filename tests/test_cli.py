@@ -122,6 +122,11 @@ class TestSweep:
         ("sweep", "e_init=nan"),
         ("sweep", "e_init=inf"),
         ("sweep", "e_threshold=nan"),
+        ("sweep", "eps_amp=-1"),
+        ("sweep", "e_elec=inf"),
+        ("sweep", "copies=0"),
+        ("sweep", "ttl=-1"),
+        ("compare-pegasis", "bs_x=nan"),
         ("compare-pegasis", "compare_side=0"),
         ("compare-pegasis", "compare_range=10"),  # below short_range
         ("compare-pegasis", "compare_e_init=nan"),
@@ -134,6 +139,25 @@ def test_bad_scenario_value_exits_2(tmp_path, capsys, command, line):
     assert main([command, "--scenario", str(scenario), "--out", str(out)]) == EXIT_PARSE
     _assert_one_error_line(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--scenario", "{tmp}/missing.txt", "--out", "{tmp}/o"],
+        ["sweep", "--scenario", "{tmp}", "--out", "{tmp}/o"],
+        ["sweep", "--scenario", "{scenario}", "--out", "{scenario}"],
+        ["run", "--nodes", "12", "--out", "{tmp}/missing/x.csv"],
+        ["trace", "--nodes", "12", "--trace", "{tmp}/missing/t.tsv"],
+    ],
+    ids=["missing-scenario", "scenario-is-dir", "out-is-file", "run-out", "trace"],
+)
+def test_unusable_path_exits_2(tmp_path, capsys, argv):
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(TINY_SWEEP)
+    argv = [a.format(tmp=tmp_path, scenario=scenario) for a in argv]
+    assert main(argv) == EXIT_PARSE
+    _assert_one_error_line(capsys)
 
 
 class TestComparePegasis:

@@ -9,6 +9,10 @@ names the changed files in CHANGES.md.
 * Sweep files: the per-run CSV of the two session sweep fixtures, which is
   the ``metrics.csv`` that ``qwsn sweep`` writes for
   ``scenarios/energy_latency.txt`` and ``scenarios/reliability.txt``.
+* Command files: every file ``qwsn sweep`` writes for a small all-class
+  scenario that reaches fig4 to fig6, and both files ``qwsn compare-pegasis``
+  writes for a small compare block.  Both scenarios set per-run keys away
+  from their defaults, so the pins also cover the scenario parser.
 """
 
 import hashlib
@@ -76,6 +80,32 @@ SWEEP_DIGESTS = {
 }
 
 
+# command -> (scenario text, output file -> digest)
+COMMAND_FILES = {
+    "sweep": (
+        "sizes=20,30\nqos=normal,reliable,delay,delay_reliable\n"
+        "failures=0.0,0.1\nseeds=0,1\ncopies=2\nservice_time=0.005\n",
+        {
+            "fig4.tsv": "060dd8500e85e8b4110535064292de5830f99f62de47f9f32b56576ea46a5b82",
+            "fig5.tsv": "e39fa0c2f5bcb8e5504cb43866fc284c06098bd74e1e755100b38f0fcd33b8f8",
+            "fig6.tsv": "e5039fe07e9db0faed39281bff1564b762ce7797a5cb4850770dc3aae5b7a832",
+            "means.csv": "c15ac0915abe1bb52fc256d6f1471d38778254cbeb93d36800d47728ecafdd32",
+            "metrics.csv": "03753eca25a5b68555bf560983e9e91a8128c1e98071d0dd2dad1fa9b4b95fbc",
+        },
+    ),
+    "compare-pegasis": (
+        "compare_n=24\ncompare_side=30\ncompare_e_init=0.01\n"
+        "compare_fractions=0.0,0.2\nseeds=1\nbs_x=10\nbs_y=120\n",
+        {
+            "fig8.tsv": "e65c9b1d22be32c440de9b156bc31a0d31e7c3ae1ce6e4d4690d94c763e91d0a",
+            "pegasis_comparison.csv": (
+                "1c26a8e39a8a96018598fc454dfe99d133cb0ebb617f5f58d3492bb526104d1d"
+            ),
+        },
+    ),
+}
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -116,3 +146,12 @@ def test_sweep_rows_bytes(tmp_path, request, fixture):
     out = tmp_path / "metrics.csv"
     emit_csv(MetricsTable(rows=[metrics_row(m) for m in runs.values()]), out)
     assert _sha256(out) == SWEEP_DIGESTS[fixture]
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FILES))
+def test_command_files_bytes(tmp_path, command):
+    text, digests = COMMAND_FILES[command]
+    scenario, out = tmp_path / "scenario.txt", tmp_path / "out"
+    scenario.write_text(text)
+    assert cli.main([command, "--scenario", str(scenario), "--out", str(out)]) == 0
+    assert {p.name: _sha256(p) for p in out.iterdir()} == digests

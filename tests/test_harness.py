@@ -75,8 +75,8 @@ class TestParseScenario:
             parse_scenario("qos=quick\n")
 
     def test_ttl_auto_and_explicit(self):
-        assert parse_scenario("ttl=auto\n").ttl is None
-        assert parse_scenario("ttl=33\n").ttl == 33
+        assert parse_scenario("ttl=auto\n").run.ttl is None
+        assert parse_scenario("ttl=33\n").run.ttl == 33
 
     def test_failure_alias(self):
         assert parse_scenario("failure=0.1,0.2\n").failures == (0.1, 0.2)
@@ -84,6 +84,10 @@ class TestParseScenario:
     def test_range_order_cross_check(self):
         with pytest.raises(RangeError):
             parse_scenario("short_range=40\n")
+
+    def test_range_order_checked_on_the_finished_config(self):
+        scn = parse_scenario("long_range=10\nshort_range=5\n")
+        assert (scn.run.short_range, scn.run.long_range) == (5.0, 10.0)
 
     def test_sizes_below_two_rejected(self):
         with pytest.raises(RangeError):
@@ -151,19 +155,14 @@ class TestRunSweep:
                 assert len({r.failed_nodes for r in runs}) == 1
 
     def test_unconnectable_cells_are_skipped_not_fatal(self, monkeypatch):
-        calls = []
-        original = harness.simulate_query_round
+        original = harness.build_topology
 
-        def flaky(config, qos, topology=None, **kw):
-            calls.append(config.seed)
+        def flaky(config):
             if config.seed == 1:
                 raise TopologyUnconnectable("forced for test")
-            return original(config, qos, topology=topology, **kw)
+            return original(config)
 
-        monkeypatch.setattr(harness, "simulate_query_round", flaky)
-        monkeypatch.setattr(
-            harness, "build_topology", lambda config: None
-        )
+        monkeypatch.setattr(harness, "build_topology", flaky)
         table = run_sweep(tiny_scenario())
         assert len(table.rows) == 2
         assert table.skipped == [(QosClass.NORMAL, 12, 0.0, 1)]

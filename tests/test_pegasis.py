@@ -1,5 +1,7 @@
 """Chain-gathering baseline and the lifetime comparison plumbing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from qwsn.pegasis import (
     run_pegasis_lifetime,
 )
 from qwsn.sim import SimConfig, Topology, build_topology
+
+BS = (25.0, 150.0)
 
 
 def chain_length(positions, chain):
@@ -26,7 +30,7 @@ def chain_length(positions, chain):
 class TestBuildChain:
     def test_collinear_nodes_chain_in_spatial_order(self):
         positions = np.array([[0.0, 0.0], [5.0, 0.0], [10.0, 0.0]])
-        chain = build_chain(positions, [True] * 3, bs_position=(25.0, 150.0))
+        chain = build_chain(positions, [True] * 3, BS)
         assert chain == [0, 1, 2]
 
     def test_chain_is_permutation_of_alive_nodes(self):
@@ -34,7 +38,7 @@ class TestBuildChain:
         topo = build_topology(cfg)
         alive = [True] * 30
         alive[4] = alive[17] = False
-        chain = build_chain(topo.positions, alive)
+        chain = build_chain(topo.positions, alive, BS)
         assert sorted(chain) == [i for i in range(30) if alive[i]]
 
     def test_greedy_no_longer_than_identity_order(self):
@@ -42,7 +46,7 @@ class TestBuildChain:
             rng = np.random.default_rng(seed)
             positions = rng.uniform(0, 50, size=(40, 2))
             alive = [True] * 40
-            greedy = build_chain(positions, alive)
+            greedy = build_chain(positions, alive, BS)
             identity = list(range(40))
             assert chain_length(positions, greedy) <= chain_length(
                 positions, identity
@@ -50,7 +54,7 @@ class TestBuildChain:
 
     def test_no_alive_nodes_rejected(self):
         with pytest.raises(ValueError):
-            build_chain(np.zeros((3, 2)), [False] * 3)
+            build_chain(np.zeros((3, 2)), [False] * 3, BS)
 
 
 class TestPegasisLifetime:
@@ -68,9 +72,7 @@ class TestPegasisLifetime:
 
     def test_four_node_hand_audit(self):
         topo = Topology(self.LINE)
-        result = run_pegasis_lifetime(
-            self._config(), 0.0, bs_position=(4.5, 100.0), topology=topo
-        )
+        result = run_pegasis_lifetime(self._config(), topo, (4.5, 100.0))
         assert result.lifetime_rounds == self.EXPECTED_LIFETIME
         assert result.packets_delivered == self.EXPECTED_PACKETS
         assert result.total_energy_dissipated == pytest.approx(
@@ -78,8 +80,8 @@ class TestPegasisLifetime:
         )
 
     def test_energy_audit_balances(self):
-        cfg = SimConfig(n=25, side=30.0, seed=3, e_init=0.002)
-        result = run_pegasis_lifetime(cfg, 0.1)
+        cfg = SimConfig(n=25, side=30.0, seed=3, e_init=0.002, failure_fraction=0.1)
+        result = run_pegasis_lifetime(cfg, build_topology(cfg), BS)
         assert cfg.n * cfg.e_init - result.energy_residual == pytest.approx(
             result.total_energy_dissipated, rel=1e-9
         )
@@ -88,15 +90,17 @@ class TestPegasisLifetime:
         cfg = SimConfig(n=30, side=30.0, seed=1, e_init=0.002)
         topo = build_topology(cfg)
         lifetimes = [
-            run_pegasis_lifetime(cfg, f, topology=topo).lifetime_rounds
+            run_pegasis_lifetime(
+                replace(cfg, failure_fraction=f), topo, BS
+            ).lifetime_rounds
             for f in (0.0, 0.1, 0.2, 0.3)
         ]
         assert lifetimes == sorted(lifetimes, reverse=True)
 
     def test_same_seed_same_lifetime(self):
-        cfg = SimConfig(n=25, side=30.0, seed=6, e_init=0.002)
-        a = run_pegasis_lifetime(cfg, 0.2)
-        b = run_pegasis_lifetime(cfg, 0.2)
+        cfg = SimConfig(n=25, side=30.0, seed=6, e_init=0.002, failure_fraction=0.2)
+        a = run_pegasis_lifetime(cfg, build_topology(cfg), BS)
+        b = run_pegasis_lifetime(cfg, build_topology(cfg), BS)
         assert a == b
 
 
@@ -109,15 +113,17 @@ class TestCase4Lifetime:
 
     def test_runs_to_half_death_and_audits(self):
         cfg = self._config()
-        result = run_case4_lifetime(cfg, 0.0)
+        result = run_case4_lifetime(cfg, build_topology(cfg))
         assert result.lifetime_rounds > 0
         assert cfg.n * cfg.e_init - result.energy_residual == pytest.approx(
             result.total_energy_dissipated, rel=1e-9
         )
 
     def test_deterministic(self):
-        cfg = self._config()
-        assert run_case4_lifetime(cfg, 0.1) == run_case4_lifetime(cfg, 0.1)
+        cfg = replace(self._config(), failure_fraction=0.1)
+        a = run_case4_lifetime(cfg, build_topology(cfg))
+        b = run_case4_lifetime(cfg, build_topology(cfg))
+        assert a == b
 
 
 class TestCompare:
@@ -125,7 +131,7 @@ class TestCompare:
         cfg = SimConfig(
             n=24, side=30.0, short_range=15.0, long_range=110.0, seed=1, e_init=0.01
         )
-        rows = compare_case4(cfg, (0.0, 0.2))
+        rows = compare_case4(cfg, (0.0, 0.2), BS)
         assert [r.failure_fraction for r in rows] == [0.0, 0.2]
         for row in rows:
             assert isinstance(row, ComparisonRow)

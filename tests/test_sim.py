@@ -1,5 +1,6 @@
 """Event engine: topology, flood, energy, acks, failures, reply delivery."""
 
+import math
 from dataclasses import astuple
 
 import numpy as np
@@ -46,6 +47,26 @@ class TestConfig:
     def test_failure_fraction_bounds(self):
         with pytest.raises(ValueError):
             SimConfig(failure_fraction=1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "side",
+            "short_range",
+            "long_range",
+            "e_init",
+            "e_threshold",
+            "e_elec",
+            "eps_amp",
+            "service_time",
+            "ack_timeout",
+            "failure_fraction",
+        ],
+    )
+    def test_float_fields_reject_non_finite_and_negative(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SimConfig(**{name: value})
 
     def test_default_ttl_is_four_n(self):
         assert SimConfig(n=50).effective_ttl == 200
@@ -281,7 +302,7 @@ class TestUnicastWithAck:
         assert copy.latency == pytest.approx(cfg.service_time, rel=1e-12)
 
     def test_dead_receiver_times_out_after_exactly_ack_timeout(self):
-        cfg = line_config(copies_per_query=1)
+        cfg = line_config(copies=1)
         sim = Simulation(
             cfg, QosClass.RELIABLE, topology=line_topology(), collect_trace=True
         )
