@@ -19,6 +19,7 @@ seed) regardless of execution order.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable
@@ -26,10 +27,13 @@ from typing import Iterable
 from .pegasis import ComparisonRow
 from .protocol import QosClass
 from .sim import (
+    FloodState,
     RunMetrics,
     SimConfig,
     TopologyUnconnectable,
+    active_range,
     build_topology,
+    flood_state,
     simulate_query_round,
 )
 
@@ -76,7 +80,7 @@ class RangeError(ValueError):
 def derive_side(n: int) -> float:
     """Deployment side keeping density equal to the 50-node / 70 m baseline."""
     if n < 2:
-        raise RangeError(f"need at least two nodes, got {n}")
+        raise RangeError(f"need at least two nodes, got n={n}")
     return _BASELINE_SIDE * math.sqrt(n / _BASELINE_N)
 
 
@@ -112,6 +116,14 @@ _RUN_KEYS = {
     f.name: f.type
     for f in fields(SimConfig)
     if f.name not in ("n", "side", "seed", "failure_fraction")
+}
+# The SimConfig fields the compare block sets, by the scenario key that sets
+# them, so a compare-block error names the key.
+_COMPARE_KEYS = {
+    "n": "compare_n",
+    "side": "compare_side",
+    "long_range": "compare_range",
+    "e_init": "compare_e_init",
 }
 
 
@@ -182,7 +194,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
     try:
         compare_config(scenario, scenario.seeds[0])
     except ValueError as exc:  # RangeError included
-        raise RangeError(f"compare block: {exc}") from None
+        pattern = r"\b(" + "|".join(_COMPARE_KEYS) + r")\b"
+        message = re.sub(pattern, lambda m: _COMPARE_KEYS[m[1]], str(exc))
+        raise RangeError(f"compare block: {message}") from None
     return scenario
 
 
@@ -282,8 +296,10 @@ class MetricsTable:
 def run_sweep(scenario: ScenarioConfig, keep_runs: bool = False) -> MetricsTable:
     """One run per (class, size, fraction, seed) cell, then per-group means.
 
-    Each (size, seed) topology is built once, every cell on it is run, and
-    it is dropped; so every class sees identical placements.  Rows, means,
+    Each (size, seed) topology is built once and flooded once per radio
+    range; every cell on it starts from its range's flood state, and the
+    topology and its flood states are dropped before the next one is built.
+    So every class sees identical placements.  Rows, means,
     ``skipped`` and ``runs`` are then assembled in (class, size, fraction,
     seed) order.  Unconnectable cells are recorded under ``skipped`` and
     never abort the sweep.
@@ -296,6 +312,7 @@ def run_sweep(scenario: ScenarioConfig, keep_runs: bool = False) -> MetricsTable
                 topology = build_topology(sim_config(scenario, n, 0.0, seed))
             except TopologyUnconnectable:
                 topology = None
+            floods: dict[float, FloodState] = {}
             for qos in scenario.qos:
                 for fraction in scenario.failures:
                     key = (qos, n, fraction, seed)
@@ -303,10 +320,16 @@ def run_sweep(scenario: ScenarioConfig, keep_runs: bool = False) -> MetricsTable
                     if topology is None:
                         continue
                     config = sim_config(scenario, n, fraction, seed)
-                    metrics = simulate_query_round(config, qos, topology=topology)
+                    radio = active_range(config, qos)
+                    if radio not in floods:
+                        floods[radio] = flood_state(config, qos, topology)
+                    metrics = simulate_query_round(
+                        config, qos, topology=topology, flood=floods[radio]
+                    )
                     rows[key] = metrics_row(metrics)
                     if keep_runs:
                         kept[key] = metrics
+            del topology, floods
     table = MetricsTable()
     for qos in scenario.qos:
         for n in scenario.sizes:

@@ -44,28 +44,6 @@ class QosClass(Enum):
     DELAY_RELIABLE = "delay_reliable"
 
 
-_TOS_BITS = {
-    QosClass.NORMAL: "00",
-    QosClass.RELIABLE: "01",
-    QosClass.DELAY: "10",
-    QosClass.DELAY_RELIABLE: "11",
-}
-_BITS_TOS = {bits: qos for qos, bits in _TOS_BITS.items()}
-
-
-def tos_encode(qos: QosClass) -> str:
-    """Return the two-bit type-of-service code for a service class."""
-    return _TOS_BITS[qos]
-
-
-def tos_decode(bits: str) -> QosClass:
-    """Inverse of :func:`tos_encode`; raises ``ValueError`` on a bad code."""
-    try:
-        return _BITS_TOS[bits]
-    except KeyError:
-        raise ValueError(f"not a 2-bit type-of-service code: {bits!r}") from None
-
-
 def _check_node_id(node_id: int, what: str = "node id") -> None:
     if not (0 <= node_id < _ID_LIMIT):
         raise ValueError(f"{what} out of 32-bit range: {node_id}")
@@ -89,11 +67,11 @@ class DataReqHeader:
     Besides addressing, the header advertises the sender's energy level, its
     current hop count from the sink and the identifiers of up to three of its
     neighbours with the least hop counts, which receivers copy into their
-    FITs.
+    FITs.  It carries no service class: the flood, and the tables it builds,
+    are the same for every class at one radio range.
     """
 
     query_id: int
-    tos: str
     sender_id: int
     sender_energy: float
     sender_hop: int
@@ -102,7 +80,6 @@ class DataReqHeader:
     def __post_init__(self) -> None:
         if not (0 <= self.query_id < _ID_LIMIT):
             raise ValueError(f"query_id out of 32-bit range: {self.query_id}")
-        tos_decode(self.tos)
         _check_node_id(self.sender_id, "sender id")
         if not (0 <= self.sender_hop <= HOP_INF):
             raise ValueError(f"sender_hop out of range: {self.sender_hop}")

@@ -4,7 +4,9 @@ One :class:`Simulation` owns one run: a seeded random topology, per-node
 state (energy, tables, transmit queue), and a single event queue processed
 in strict ``(time, insertion order)`` order.  A run executes four phases:
 
-1. query flood at the class-appropriate radio range,
+1. query flood at the class-appropriate radio range (or, in a sweep, a copy
+   of the :class:`FloodState` one flood per topology and range left, since
+   the flood reads neither the class nor the failure fraction),
 2. optional failure injection (nodes marked dead after the flood),
 3. reply dispatch from the chosen source nodes, routed per service class,
 4. event drain, after which :meth:`Simulation.metrics` summarises the run.
@@ -36,7 +38,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, fields
 from heapq import heappop, heappush
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,13 +47,13 @@ from .protocol import (
     DataRepHeader,
     DataReqHeader,
     Fit,
+    FitEntry,
     FloodAction,
     QosClass,
     advert_from_fit,
     apply_data_req,
     fit_bootstrap,
     prune_low_energy,
-    tos_encode,
 )
 from .routing import (
     Pct,
@@ -113,7 +115,7 @@ class SimConfig:
             if f.type == "float" and not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{f.name} must be finite and non-negative: {value}")
         if self.n < 2:
-            raise ValueError(f"need at least two nodes, got {self.n}")
+            raise ValueError(f"need at least two nodes, got n={self.n}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative: {self.seed}")
         if self.side == 0:
@@ -136,6 +138,12 @@ class SimConfig:
     @property
     def effective_ttl(self) -> int:
         return self.ttl if self.ttl is not None else 4 * self.n
+
+
+def active_range(config: SimConfig, qos: QosClass) -> float:
+    """The radio range a class floods and forwards at: long for the delay
+    classes, short for the others."""
+    return config.long_range if qos in _DELAY_CLASSES else config.short_range
 
 
 def seeded_draw(key: Sequence[int], pool: Sequence[int], k: int) -> tuple[int, ...]:
@@ -260,9 +268,10 @@ class ReplyCopy:
     class returns the copy there only once no unused edge is left (Tarry's
     traversal).  The source has no parent.
 
-    ``rationales`` lists every transmission attempt, including those lost to
-    a dead receiver, so it does not line up with ``path``.  ``backtracks``
-    holds the ``path`` indices of the nodes reached by a backtrack hop.
+    ``path`` lists the nodes that received the copy, so an attempt lost to a
+    dead receiver adds nothing to it and counts in ``failures_seen`` instead.
+    ``backtracks`` holds the ``path`` indices of the nodes reached by a
+    backtrack hop.
     """
 
     hdr: DataRepHeader
@@ -271,7 +280,6 @@ class ReplyCopy:
     forced_rationale: Rationale | None = None
     hops: int = 0
     path: list[int] = field(default_factory=list)
-    rationales: list[str] = field(default_factory=list)
     backtracks: list[int] = field(default_factory=list)
     forwarded: dict[int, set[int]] = field(default_factory=dict)
     parent: dict[int, int] = field(default_factory=dict)
@@ -302,6 +310,34 @@ class NodeState:
     @property
     def queue_len(self) -> int:
         return len(self.tx_queue) + (1 if self.transmitting else 0)
+
+
+class FloodNode(NamedTuple):
+    """One node as a query flood left it; ``rows`` is its FIT in insertion
+    order, the frozen rows shared with every table restored from it."""
+
+    energy: float
+    alive: bool
+    has_broadcast: bool
+    self_hop: int
+    self_energy: float
+    rows: tuple[FitEntry, ...]
+
+
+class FloodState(NamedTuple):
+    """What one query flood leaves, as :func:`flood_state` takes it.
+
+    The flood reads the topology, the battery and radio parameters and the
+    radio range, and nothing else of the run: not the service class, and not
+    the failure fraction, because failures are injected after it.  So every
+    run on one topology at one range can start from the same flood state.
+    """
+
+    active_range: float
+    now: float
+    dissipated: float
+    flood_broadcasts: int
+    nodes: tuple[FloodNode, ...]
 
 
 @dataclass(frozen=True)
@@ -359,32 +395,55 @@ class Simulation:
         topology: Topology | None = None,
         exempt_sources_from_failure: bool = True,
         collect_trace: bool = False,
+        flood: FloodState | None = None,
     ) -> None:
         self.config = config
         self.qos = qos
         self.topology = topology if topology is not None else build_topology(config)
         if self.topology.n != config.n:
             raise ValueError("topology size does not match config")
-        self.active_range = (
-            config.long_range if qos in _DELAY_CLASSES else config.short_range
-        )
+        self.active_range = active_range(config, qos)
         self.exempt_sources_from_failure = exempt_sources_from_failure
-        self.nodes = [
-            NodeState(
-                id=i,
-                energy=config.e_init,
-                fit=fit_bootstrap(i, is_sink=(i == SINK), energy=config.e_init),
-                pct=Pct(),
-            )
-            for i in range(config.n)
-        ]
-        self.now = 0.0
+        if flood is None:
+            self.now = 0.0
+            self.dissipated = 0.0
+            self.flood_broadcasts = 0
+            self.nodes = [
+                NodeState(
+                    id=i,
+                    energy=config.e_init,
+                    fit=fit_bootstrap(i, is_sink=(i == SINK), energy=config.e_init),
+                    pct=Pct(),
+                )
+                for i in range(config.n)
+            ]
+        else:
+            if flood.active_range != self.active_range or len(flood.nodes) != config.n:
+                raise ValueError("flood state is for another radio range or size")
+            self.now = flood.now
+            self.dissipated = flood.dissipated
+            self.flood_broadcasts = flood.flood_broadcasts
+            # Each node gets its own table; the frozen rows are shared.
+            self.nodes = [
+                NodeState(
+                    id=i,
+                    energy=saved.energy,
+                    fit=Fit(
+                        i,
+                        saved.self_hop,
+                        saved.self_energy,
+                        {row.neighbor: row for row in saved.rows},
+                    ),
+                    pct=Pct(),
+                    alive=saved.alive,
+                    has_broadcast=saved.has_broadcast,
+                )
+                for i, saved in enumerate(flood.nodes)
+            ]
         self._seq = 0
         # (time, insertion order, handler, node, data); insertion order is
         # unique, so ties on time never compare the rest
         self._heap: list[tuple[float, int, Callable, int, object]] = []
-        self.dissipated = 0.0
-        self.flood_broadcasts = 0
         self.copies: list[ReplyCopy] = []
         self.failed_nodes: tuple[int, ...] = ()
         self.sources = seeded_draw(
@@ -514,7 +573,6 @@ class Simulation:
         advert = advert_from_fit(node.fit)
         hdr = DataReqHeader(
             query_id=query_id,
-            tos=tos_encode(self.qos),
             sender_id=node.id,
             sender_energy=advert.sender_energy,
             sender_hop=advert.sender_hop,
@@ -823,7 +881,6 @@ class Simulation:
             rationale = decision.rationale
             if rationale in (Rationale.FALLBACK, Rationale.BACKTRACK):
                 copy.fallback_used = True
-        copy.rationales.append(rationale.value)
         if not self._debit(
             node,
             tx_energy(
@@ -993,18 +1050,48 @@ def simulate_query_round(
     qos: QosClass,
     topology: Topology | None = None,
     collect_trace: bool = False,
+    flood: FloodState | None = None,
 ) -> RunMetrics:
     """Build a topology, flood, inject failures, deliver replies, measure.
 
-    Deterministic for a fixed ``(config, qos)``; raises
+    Given ``flood``, what a flood of the same topology at this class's range
+    left, the run starts from it instead of flooding, with the same result;
+    a trace then starts after the flood.  Deterministic for a fixed ``(config, qos)``; raises
     :class:`TopologyUnconnectable` when no connected placement exists for the
     config's seed.
     """
-    sim = Simulation(config, qos, topology=topology, collect_trace=collect_trace)
-    sim.run_flood(query_id=0)
+    sim = Simulation(
+        config, qos, topology=topology, collect_trace=collect_trace, flood=flood
+    )
+    if flood is None:
+        sim.run_flood(query_id=0)
     sim.inject_failures()
     sim.deliver_replies()
     return sim.metrics()
+
+
+def flood_state(config: SimConfig, qos: QosClass, topology: Topology) -> FloodState:
+    """Flood ``topology`` once at ``qos``'s range; any class at that range
+    and any failure fraction can start from the result."""
+    sim = Simulation(config, qos, topology=topology)
+    sim.run_flood(query_id=0)
+    return FloodState(
+        active_range=sim.active_range,
+        now=sim.now,
+        dissipated=sim.dissipated,
+        flood_broadcasts=sim.flood_broadcasts,
+        nodes=tuple(
+            FloodNode(
+                node.energy,
+                node.alive,
+                node.has_broadcast,
+                node.fit.self_hop,
+                node.fit.self_energy,
+                tuple(node.fit.entries.values()),
+            )
+            for node in sim.nodes
+        ),
+    )
 
 
 def format_trace(trace: Iterable[tuple]) -> str:

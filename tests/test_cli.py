@@ -142,6 +142,23 @@ def test_bad_scenario_value_exits_2(tmp_path, capsys, command, line):
 
 
 @pytest.mark.parametrize(
+    "line, key",
+    [
+        ("compare_n=1", "compare_n"),
+        ("compare_side=0", "compare_side"),
+        ("compare_range=10", "compare_range"),
+        ("compare_e_init=nan", "compare_e_init"),
+    ],
+)
+def test_compare_block_error_names_the_scenario_key(tmp_path, capsys, line, key):
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(TINY_SWEEP + line + "\n")
+    argv = ["compare-pegasis", "--scenario", str(scenario), "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_PARSE
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["sweep", "--scenario", "{tmp}/missing.txt", "--out", "{tmp}/o"],

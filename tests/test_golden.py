@@ -12,10 +12,14 @@ names the changed files in CHANGES.md.
 * Command files: every file ``qwsn sweep`` writes for a small all-class
   scenario that reaches fig4 to fig6, and both files ``qwsn compare-pegasis``
   writes for a small compare block.  Both scenarios set per-run keys away
-  from their defaults, so the pins also cover the scenario parser.
+  from their defaults, so the pins also cover the scenario parser.  The
+  sweep pin also runs in fresh interpreters under two string hash seeds.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -148,10 +152,24 @@ def test_sweep_rows_bytes(tmp_path, request, fixture):
     assert _sha256(out) == SWEEP_DIGESTS[fixture]
 
 
-@pytest.mark.parametrize("command", sorted(COMMAND_FILES))
-def test_command_files_bytes(tmp_path, command):
+@pytest.mark.parametrize(
+    "command, hash_seed",
+    [pytest.param(command, None, id=command) for command in sorted(COMMAND_FILES)]
+    + [pytest.param("sweep", s, id=f"sweep-PYTHONHASHSEED={s}") for s in (0, 1)],
+)
+def test_command_files_bytes(tmp_path, command, hash_seed):
     text, digests = COMMAND_FILES[command]
     scenario, out = tmp_path / "scenario.txt", tmp_path / "out"
     scenario.write_text(text)
-    assert cli.main([command, "--scenario", str(scenario), "--out", str(out)]) == 0
+    argv = [command, "--scenario", str(scenario), "--out", str(out)]
+    if hash_seed is None:
+        assert cli.main(argv) == 0
+    else:
+        # A fresh interpreter per string hash seed, as every benchmark
+        # iteration is: no set or dict order it changes may reach the bytes.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONHASHSEED": str(hash_seed), "PYTHONPATH": src}
+        subprocess.run(
+            [sys.executable, "-m", "qwsn.cli", *argv], env=env, check=True, timeout=120
+        )
     assert {p.name: _sha256(p) for p in out.iterdir()} == digests

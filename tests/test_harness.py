@@ -24,7 +24,13 @@ from qwsn.harness import (
     sim_config,
 )
 from qwsn.protocol import QosClass
-from qwsn.sim import TopologyUnconnectable
+from qwsn.sim import (
+    SimConfig,
+    TopologyUnconnectable,
+    build_topology,
+    flood_state,
+    simulate_query_round,
+)
 
 
 class TestParseScenario:
@@ -166,6 +172,27 @@ class TestRunSweep:
         table = run_sweep(tiny_scenario())
         assert len(table.rows) == 2
         assert table.skipped == [(QosClass.NORMAL, 12, 0.0, 1)]
+
+
+class TestSharedFlood:
+    @pytest.mark.parametrize("e_init", [0.5, 5e-4], ids=["battery", "dies-in-flood"])
+    def test_sweep_cells_match_their_own_flood(self, e_init):
+        """Each sweep cell starts from its topology's flood at its range; it
+        must give what the same cell gives flooding on its own."""
+        scn = ScenarioConfig(
+            failures=(0.0, 0.2), seeds=(0, 1, 2, 3), run=SimConfig(e_init=e_init)
+        )
+        config = sim_config(scn, 50, 0.0, 0)
+        flood = flood_state(config, QosClass.NORMAL, build_topology(config))
+        died = sum(not node.alive for node in flood.nodes)
+        assert (died > 0) == (e_init < SimConfig().e_init)
+        runs = run_sweep(scn, keep_runs=True).runs
+        assert len(runs) == 32
+        for (qos, n, fraction, seed), shared in runs.items():
+            alone = simulate_query_round(sim_config(scn, n, fraction, seed), qos)
+            # Dataclass equality compares every field: dissipation, latencies,
+            # hop counts, residual energy and each copy's whole record.
+            assert shared == alone
 
 
 class TestEmission:

@@ -1,4 +1,4 @@
-"""Table types, flood update rules and header codecs."""
+"""Table types, flood update rules and header checks."""
 
 from dataclasses import replace
 
@@ -12,13 +12,10 @@ from qwsn.protocol import (
     DataReqHeader,
     FitEntry,
     FloodAction,
-    QosClass,
     advert_from_fit,
     apply_data_req,
     fit_bootstrap,
     prune_low_energy,
-    tos_decode,
-    tos_encode,
 )
 from qwsn.routing import remove_failed
 
@@ -26,7 +23,6 @@ from qwsn.routing import remove_failed
 def hdr(sender, hop, energy=0.5, forwarders=(), query_id=0):
     return DataReqHeader(
         query_id=query_id,
-        tos="00",
         sender_id=sender,
         sender_energy=energy,
         sender_hop=hop,
@@ -275,27 +271,6 @@ class TestPrune:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             prune_low_energy(fit_bootstrap(1), -1.0)
-
-
-class TestTosCodec:
-    def test_normal_is_zero_zero(self):
-        assert tos_encode(QosClass.NORMAL) == "00"
-
-    def test_remaining_assignment(self):
-        assert tos_encode(QosClass.RELIABLE) == "01"
-        assert tos_encode(QosClass.DELAY) == "10"
-        assert tos_encode(QosClass.DELAY_RELIABLE) == "11"
-
-    def test_round_trip_all_classes(self):
-        for qos in QosClass:
-            assert tos_decode(tos_encode(qos)) is qos
-
-    def test_codes_are_distinct(self):
-        assert len({tos_encode(q) for q in QosClass}) == 4
-
-    def test_bad_code_rejected(self):
-        with pytest.raises(ValueError):
-            tos_decode("2")
 
 
 class TestHeaderValidation:

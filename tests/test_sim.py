@@ -1,5 +1,6 @@
 """Event engine: topology, flood, energy, acks, failures, reply delivery."""
 
+import copy
 import math
 from dataclasses import astuple
 
@@ -20,6 +21,7 @@ from qwsn.sim import (
     bfs_hops,
     build_topology,
     fit_bootstrap,
+    flood_state,
     format_trace,
     rx_energy,
     simulate_query_round,
@@ -596,6 +598,28 @@ class TestSimulateQueryRound:
     def test_unconnectable_propagates(self):
         with pytest.raises(TopologyUnconnectable):
             simulate_query_round(SimConfig(n=2, side=5000.0, seed=0), QosClass.NORMAL)
+
+
+class TestFloodState:
+    def test_restored_tables_are_the_runs_own(self):
+        cfg = line_config(n=40, side=60.0, seed=5, failure_fraction=0.1)
+        topology = build_topology(cfg)
+        state = flood_state(cfg, QosClass.RELIABLE, topology)
+        pristine = copy.deepcopy(state)
+        mutated = Simulation(cfg, QosClass.RELIABLE, topology=topology, flood=state)
+        for node in mutated.nodes:
+            node.fit.entries.clear()
+            node.fit.self_hop = HOP_INF
+        assert state == pristine
+        restored = simulate_query_round(cfg, QosClass.RELIABLE, topology, flood=state)
+        assert restored == simulate_query_round(cfg, QosClass.RELIABLE, topology)
+
+    def test_state_of_another_range_is_refused(self):
+        cfg = line_config(n=40, side=60.0, seed=5)
+        topology = build_topology(cfg)
+        state = flood_state(cfg, QosClass.NORMAL, topology)
+        with pytest.raises(ValueError):
+            Simulation(cfg, QosClass.DELAY, topology=topology, flood=state)
 
 
 class TestTrace:
