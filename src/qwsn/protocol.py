@@ -1,14 +1,17 @@
-"""Packet headers and per-node forwarding state for query-driven routing.
+"""The query header and per-node forwarding state for query-driven routing.
 
 A sink node periodically floods the network with a query (DATA_REQ); every
 node builds a forwarding information table (FIT) from the headers it hears:
 one row per neighbour holding that neighbour's advertised energy, its hop
 count to the sink and the identifiers of up to three of its least-hop
-neighbours ("forwarders").  Replies (DATA_REP) are then routed back to the
-sink using only this table plus, for the reliable classes, a small path
-construction table maintained in :mod:`qwsn.routing`; the delay-sensitive
-classes also rank neighbours by their current transmit-queue length, which
-the engine looks up live and the table does not store.
+neighbours ("forwarders").  A node rebroadcasts the header
+:func:`advert_from_fit` builds from its own table.  Replies (DATA_REP) are
+then routed back to the sink using only this table plus, for the reliable
+classes, a small path construction table maintained in :mod:`qwsn.routing`;
+the delay-sensitive classes also rank neighbours by their current
+transmit-queue length, which the engine looks up live and the table does
+not store.  A reply's own fields travel on the engine's one record of each
+reply copy, :class:`qwsn.sim.ReplyCopy`.
 
 Headers and FIT rows are values, so the one row built from a header is
 shared by every FIT that stores it.  A FIT itself is a node's own mutable
@@ -23,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple
 
 # Hop counts travel in a 16-bit header field; this sentinel is the largest
 # encodable value and exceeds any achievable hop count at supported network
@@ -98,32 +100,6 @@ class DataReqHeader:
             hop=self.sender_hop,
             forwarders=self.forwarders,
         )
-
-
-@dataclass
-class DataRepHeader:
-    """Reply packet header; one reply copy carries one of these.
-
-    ``path_id`` names the dispatch path the copy rides (0 = primary,
-    1/2 = alternates); ``ttl`` is the remaining hop budget and strictly
-    decreases at every successful handoff.
-    """
-
-    src: int
-    dst: int
-    query_id: int
-    copy_index: int
-    path_id: int
-    prev_hop: int | None
-    ttl: int
-
-    def __post_init__(self) -> None:
-        _check_node_id(self.src, "source address")
-        _check_node_id(self.dst, "destination address")
-        if self.copy_index < 0:
-            raise ValueError(f"copy_index must be non-negative: {self.copy_index}")
-        if self.ttl < 0:
-            raise ValueError(f"ttl must be non-negative: {self.ttl}")
 
 
 @dataclass(frozen=True)
@@ -226,26 +202,18 @@ def apply_data_req(fit: Fit, hdr: DataReqHeader) -> tuple[Fit, FloodAction]:
     return fit, FloodAction.DROPPED
 
 
-class AdvertFields(NamedTuple):
-    """The fields a node writes into the DATA_REQ it rebroadcasts."""
+def advert_from_fit(fit: Fit, query_id: int) -> DataReqHeader:
+    """The DATA_REQ header a node broadcasts when it rebroadcasts the query.
 
-    sender_energy: float
-    sender_hop: int
-    forwarders: tuple[int, ...]
-
-
-def advert_from_fit(fit: Fit) -> AdvertFields:
-    """Header fields advertised when a node rebroadcasts the query.
-
-    The forwarders are the up-to-three known neighbours with the least hop
-    counts, ties broken by ascending node id.  A node only rebroadcasts once
-    it has learned a finite hop count, so calling this on a bootstrapped
-    table is an error.
+    It advertises the node's own energy and hop count and, as forwarders,
+    the up-to-three known neighbours with the least hop counts, ties broken
+    by ascending node id.  A node only rebroadcasts once it has learned a
+    finite hop count, so calling this on a bootstrapped table is an error.
     """
     if fit.self_hop >= HOP_INF:
         raise ValueError("cannot advertise an unknown hop count")
     forwarders = tuple(e.neighbor for e in fit.by_hop[:MAX_FORWARDERS])
-    return AdvertFields(fit.self_energy, fit.self_hop, forwarders)
+    return DataReqHeader(query_id, fit.self_id, fit.self_energy, fit.self_hop, forwarders)
 
 
 def prune_low_energy(fit: Fit, e_threshold: float) -> Fit:

@@ -1,13 +1,15 @@
 """Next-hop and path selection for the four service classes.
 
-Selectors read the caller's forwarding table and never change it.  They
-return ``None`` when no usable neighbour remains ("no route").  The
-reliable-class selectors also record their pick in the caller's path
-construction table, in place, since choosing a forwarder puts it on the
-path for that source/destination pair; they return that same table next to
-the decision.  The wait-ranked selectors of the delay-sensitive classes
-take a lookup ``wait(node_id)`` that returns a neighbour's current
-transmit-queue length; the table stores no queue lengths.
+Selectors read the caller's tables and never change them: neither the
+forwarding table nor the path construction table (PCT).  They return
+``None`` when no usable neighbour remains ("no route").  The PCT has one
+insert/evict rule, :func:`pct_observe`, which only the engine calls: it
+records the pick a node commits to, since choosing a forwarder puts it on
+the path for that source/destination pair, as well as the first hops of a
+dispatch and every overheard reply.  The wait-ranked selectors of the
+delay-sensitive classes take a lookup ``wait(node_id)`` that returns a
+neighbour's current transmit-queue length; the table stores no queue
+lengths.
 
 Tie-breaking is deterministic throughout: candidates compare by
 ``(ranking key..., hop, node id)`` so identical tables always yield
@@ -201,8 +203,11 @@ def _next_hop_pct_checked(
     it on the path of this very (src, dst) pair, in which case it is excluded
     and the search repeats; appearing on other pairs' paths is fine.  The
     pick's rationale is ``first`` if no neighbour was skipped, else
-    ``ALTERNATE_RELIABLE``.  The chosen forwarder is recorded in the PCT
-    before returning.
+    ``ALTERNATE_RELIABLE``.  The PCT is only read: the engine records the
+    pick once it commits to it.
+
+    Returns ``(decision, pct)`` with the given table unchanged, a shape the
+    benchmark's tracer relies on (it reads the decision as ``result[0]``).
     """
     remaining = {n: e for n, e in fit.entries.items() if n not in excluded}
     skipped = False
@@ -213,12 +218,11 @@ def _next_hop_pct_checked(
             skipped = True
             continue
         rationale = Rationale.ALTERNATE_RELIABLE if skipped else first
-        pct_observe((pct,), pick.neighbor, src, dst)
         return RouteDecision(pick.neighbor, rationale), pct
     return None, pct
 
 
-# Plain reliable class: least hop first.
+# Plain reliable class: least hop first; returns ``(decision, pct)``.
 next_hop_reliable = partial(
     _next_hop_pct_checked, rank=_by_hop_id, first=Rationale.PRIMARY_RELIABLE
 )
@@ -233,7 +237,8 @@ def next_hop_delay_reliable_intermediate(
     *,
     wait: Wait,
 ) -> tuple[RouteDecision | None, Pct]:
-    """Hybrid class: least waiting time first; hop count and id break ties."""
+    """Hybrid class: least waiting time first; hop count and id break ties.
+    Returns ``(decision, pct)`` like :func:`next_hop_reliable`."""
     rank = _by_wait_hop_id(wait)
     return _next_hop_pct_checked(
         fit, pct, src, dst, excluded, rank=rank, first=Rationale.MIN_WAIT

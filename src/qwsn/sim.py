@@ -44,7 +44,6 @@ import numpy as np
 
 from .protocol import (
     HOP_INF,
-    DataRepHeader,
     DataReqHeader,
     Fit,
     FitEntry,
@@ -259,7 +258,14 @@ def build_topology(config: SimConfig) -> Topology:
 
 @dataclass
 class ReplyCopy:
-    """Runtime state of one DATA_REP copy, including its audit trail.
+    """One DATA_REP copy: its header fields, runtime state and audit trail.
+
+    Every copy answers the run's one query (id 0) and goes to the sink, so it
+    stores neither.  ``copy_index`` numbers the source's copies, and
+    ``path_id`` names the dispatch path the copy rides (0 = primary, 1/2 =
+    alternates).  ``prev_hop`` is the node the copy last came from (``None``
+    at the source), and ``ttl`` is the remaining hop budget, which strictly
+    decreases at every successful handoff.
 
     ``forwarded`` maps a node id to the next hops that node has already used
     for this copy; the reliable classes never reuse such an edge, except for
@@ -274,11 +280,13 @@ class ReplyCopy:
     backtrack hop.
     """
 
-    hdr: DataRepHeader
+    src: int
+    copy_index: int
+    path_id: int
+    ttl: int
     latency_epoch: float | None
+    prev_hop: int | None = None
     forced_next: int | None = None
-    forced_rationale: Rationale | None = None
-    hops: int = 0
     path: list[int] = field(default_factory=list)
     backtracks: list[int] = field(default_factory=list)
     forwarded: dict[int, set[int]] = field(default_factory=dict)
@@ -318,7 +326,6 @@ class FloodNode(NamedTuple):
 
     energy: float
     alive: bool
-    has_broadcast: bool
     self_hop: int
     self_energy: float
     rows: tuple[FitEntry, ...]
@@ -378,10 +385,10 @@ class RunMetrics:
 
     @property
     def delivery_probability(self) -> float:
-        dispatched = {c.hdr.src for c in self.copies}
+        dispatched = {c.src for c in self.copies}
         if not dispatched:
             return 0.0
-        delivered = {c.hdr.src for c in self.copies if c.delivered}
+        delivered = {c.src for c in self.copies if c.delivered}
         return len(delivered) / len(dispatched)
 
 
@@ -436,7 +443,6 @@ class Simulation:
                     ),
                     pct=Pct(),
                     alive=saved.alive,
-                    has_broadcast=saved.has_broadcast,
                 )
                 for i, saved in enumerate(flood.nodes)
             ]
@@ -570,27 +576,15 @@ class Simulation:
             return False
         if not self._debit(node, self._tx_cost_broadcast):
             return False
-        advert = advert_from_fit(node.fit)
-        hdr = DataReqHeader(
-            query_id=query_id,
-            sender_id=node.id,
-            sender_energy=advert.sender_energy,
-            sender_hop=advert.sender_hop,
-            forwarders=advert.forwarders,
-        )
+        hdr = advert_from_fit(node.fit, query_id)
         node.has_broadcast = True
         node.transmitting = True
         node.tx_end = self.now + self.config.service_time
         self._schedule(node.tx_end, self._on_queue_service, node.id)
         self.flood_broadcasts += 1
         if self._trace_lines is not None:
-            self._trace(
-                "broadcast",
-                node.id,
-                -1,
-                query_id,
-                f"hop={hdr.sender_hop} energy={hdr.sender_energy:.9f}",
-            )
+            detail = f"hop={hdr.sender_hop} energy={hdr.sender_energy:.9f}"
+            self._trace("broadcast", node.id, -1, query_id, detail)
         self._schedule(node.tx_end, self._on_broadcast_arrive, node.id, hdr)
         return True
 
@@ -662,23 +656,15 @@ class Simulation:
         copy_index: int,
         path_id: int,
         forced_next: int | None,
-        forced_rationale: Rationale | None,
         latency_epoch: float | None,
     ) -> ReplyCopy:
-        hdr = DataRepHeader(
+        return ReplyCopy(
             src=src,
-            dst=SINK,
-            query_id=0,
             copy_index=copy_index,
             path_id=path_id,
-            prev_hop=None,
             ttl=self.config.effective_ttl,
-        )
-        return ReplyCopy(
-            hdr=hdr,
             latency_epoch=latency_epoch,
             forced_next=forced_next,
-            forced_rationale=forced_rationale,
             path=[src],
         )
 
@@ -689,7 +675,7 @@ class Simulation:
 
         def dead_batch() -> list[ReplyCopy]:
             for k in range(n_copies):
-                copy = self._new_copy(src_id, k, 0, None, None, self.now)
+                copy = self._new_copy(src_id, k, 0, None, self.now)
                 self._finish_copy(copy, delivered=False, reason="no_route")
                 copies.append(copy)
             return copies
@@ -706,20 +692,13 @@ class Simulation:
                 if primary is not None:
                     alternates = alternates_reliable(pruned, primary.next_hop)
                     firsts = (primary.next_hop, *alternates)
-                first_rationale = Rationale.PRIMARY_RELIABLE
             else:
                 firsts = paths_delay_reliable(node.fit, self._wait) or ()
-                first_rationale = Rationale.MIN_WAIT
             if not firsts:
                 return dead_batch()
             for k in range(n_copies):
                 path_id = k % len(firsts)
-                rationale = (
-                    first_rationale if path_id == 0 else Rationale.ALTERNATE_RELIABLE
-                )
-                copy = self._new_copy(
-                    src_id, k, path_id, firsts[path_id], rationale, self.now
-                )
+                copy = self._new_copy(src_id, k, path_id, firsts[path_id], self.now)
                 copies.append(copy)
                 self._enqueue_tx(node, copy)
             for first in firsts:
@@ -728,14 +707,14 @@ class Simulation:
             # Normal and delay-sensitive classes send their copies one after
             # another, each routed afresh when it reaches the radio.
             for k in range(n_copies):
-                copy = self._new_copy(src_id, k, 0, None, None, None)
+                copy = self._new_copy(src_id, k, 0, None, None)
                 copies.append(copy)
                 self._enqueue_tx(node, copy)
         return copies
 
     def _route(self, node: NodeState, copy: ReplyCopy) -> RouteDecision | None:
-        hdr = copy.hdr
-        excluded = frozenset() if hdr.prev_hop is None else frozenset({hdr.prev_hop})
+        prev = copy.prev_hop
+        excluded = frozenset() if prev is None else frozenset({prev})
         if self.qos is QosClass.NORMAL:
             return next_hop_normal(node.fit, excluded)
         if self.qos is QosClass.DELAY:
@@ -768,9 +747,13 @@ class Simulation:
         the sink whenever the source is still connected to it.  Stages 3 and
         4 are backtracks.  The hybrid sends without acks and keeps the staged
         relaxation of :meth:`_reliable_fallback`.
+
+        The stages only choose.  The pick, whichever stage made it, is
+        recorded here once, in ``forwarded`` and in the node's PCT; with the
+        dispatch's first hops and the overheard replies, this is one of the
+        three places the engine writes a PCT.
         """
-        hdr = copy.hdr
-        prev = hdr.prev_hop
+        prev = copy.prev_hop
         parent = copy.parent.get(node.id)
         tried = copy.forwarded.get(node.id, set())
         fit = (
@@ -787,26 +770,22 @@ class Simulation:
         excluded = frozenset(base | backward | tried)
         if by_wait:
             decision, _ = next_hop_delay_reliable_intermediate(
-                fit, node.pct, hdr.src, hdr.dst, excluded, wait=self._wait
+                fit, node.pct, copy.src, SINK, excluded, wait=self._wait
             )
         else:
-            decision, _ = next_hop_reliable(fit, node.pct, hdr.src, hdr.dst, excluded)
+            decision, _ = next_hop_reliable(fit, node.pct, copy.src, SINK, excluded)
         if decision is None:
             if by_wait:
-                decision = self._reliable_fallback(node, hdr, base, backward, tried)
+                decision = self._reliable_fallback(node, base, backward, tried)
             else:
-                decision = self._tarry_step(node, hdr, prev, parent, tried)
+                decision = self._tarry_step(node, prev, parent, tried)
         if decision is not None:
             copy.forwarded.setdefault(node.id, set()).add(decision.next_hop)
+            pct_observe((node.pct,), decision.next_hop, copy.src, SINK)
         return decision
 
     def _tarry_step(
-        self,
-        node: NodeState,
-        hdr: DataRepHeader,
-        prev: int | None,
-        parent: int | None,
-        tried: set[int],
+        self, node: NodeState, prev: int | None, parent: int | None, tried: set[int]
     ) -> RouteDecision | None:
         """Stages 2-4 of plain reliable forwarding: path disjointness and the
         energy threshold are best effort, delivery is the guarantee."""
@@ -822,16 +801,10 @@ class Simulation:
                 return None
             pick = backs[0]
             rationale = Rationale.BACKTRACK
-        pct_observe((node.pct,), pick, hdr.src, hdr.dst)
         return RouteDecision(pick, rationale)
 
     def _reliable_fallback(
-        self,
-        node: NodeState,
-        hdr: DataRepHeader,
-        base: set[int],
-        backward: set[int],
-        tried: set[int],
+        self, node: NodeState, base: set[int], backward: set[int], tried: set[int]
     ) -> RouteDecision | None:
         """Stages 2-4 of hybrid forwarding, by least wait: sink-ward past
         the disjointness wall (PCT ignored), then a backward escape around a
@@ -844,17 +817,11 @@ class Simulation:
         pools = (
             [e for n, e in entries.items() if n not in base | backward | tried],
             [e for n, e in entries.items() if n not in base | tried],
-            [
-                e
-                for n, e in entries.items()
-                if n not in base and e.hop < self_hop
-            ],
+            [e for n, e in entries.items() if n not in base and e.hop < self_hop],
         )
         for pool in pools:
             if pool:
-                pick = min(pool, key=rank)
-                pct_observe((node.pct,), pick.neighbor, hdr.src, hdr.dst)
-                return RouteDecision(pick.neighbor, Rationale.FALLBACK)
+                return RouteDecision(min(pool, key=rank).neighbor, Rationale.FALLBACK)
         return None
 
     def _transmit_reply(self, node: NodeState, copy: ReplyCopy) -> bool:
@@ -862,14 +829,13 @@ class Simulation:
             return False
         if copy.latency_epoch is None:
             copy.latency_epoch = self.now
-        if copy.hdr.ttl <= 0:
+        if copy.ttl <= 0:
             self._finish_copy(copy, delivered=False, reason="ttl_expired")
             return False
         if copy.forced_next is not None:
             target = copy.forced_next
-            rationale = copy.forced_rationale
             copy.forced_next = None
-            copy.forced_rationale = None
+            backtrack = False
             if self.qos in _RELIABLE_CLASSES:
                 copy.forwarded.setdefault(node.id, set()).add(target)
         else:
@@ -878,8 +844,8 @@ class Simulation:
                 self._finish_copy(copy, delivered=False, reason="no_route")
                 return False
             target = decision.next_hop
-            rationale = decision.rationale
-            if rationale in (Rationale.FALLBACK, Rationale.BACKTRACK):
+            backtrack = decision.rationale is Rationale.BACKTRACK
+            if backtrack or decision.rationale is Rationale.FALLBACK:
                 copy.fallback_used = True
         if not self._debit(
             node,
@@ -900,16 +866,11 @@ class Simulation:
             node.tx_end,
             self._on_unicast_arrive,
             target,
-            (node.id, copy, rationale is Rationale.BACKTRACK),
+            (node.id, copy, backtrack),
         )
         if self._trace_lines is not None:
-            self._trace(
-                "unicast",
-                node.id,
-                target,
-                copy.hdr.query_id,
-                f"src={copy.hdr.src} copy={copy.hdr.copy_index} ttl={copy.hdr.ttl}",
-            )
+            detail = f"src={copy.src} copy={copy.copy_index} ttl={copy.ttl}"
+            self._trace("unicast", node.id, target, 0, detail)
         return True
 
     def _on_unicast_arrive(self, receiver_id: int, data: tuple) -> None:
@@ -924,21 +885,14 @@ class Simulation:
             # feeds the path construction tables of the reliable classes:
             # one row, recorded in every alive overhearer's table.
             nodes = self.nodes
-            pct_observe(
-                [
-                    nodes[o].pct
-                    for o in self.topology.neighbors(sender_id, self.active_range)
-                    if nodes[o].alive
-                ],
-                sender_id,
-                copy.hdr.src,
-                copy.hdr.dst,
-            )
+            overhearers = self.topology.neighbors(sender_id, self.active_range)
+            pcts = [nodes[o].pct for o in overhearers if nodes[o].alive]
+            pct_observe(pcts, sender_id, copy.src, SINK)
         received = receiver.alive and self._debit(receiver, self._rx_cost)
         if not received:
             copy.failures_seen += 1
             self._trace(
-                "unicast_lost", sender_id, receiver_id, copy.hdr.query_id, "receiver_dead"
+                "unicast_lost", sender_id, receiver_id, 0, "receiver_dead"
             )
             if with_ack:
                 self._schedule(
@@ -952,17 +906,16 @@ class Simulation:
             return
         if with_ack:
             self._schedule(self.now, self._on_ack_arrive, sender_id, receiver_id)
-        copy.hops += 1
         if backtrack:
             copy.backtracks.append(len(copy.path))
         copy.path.append(receiver_id)
-        if receiver_id == copy.hdr.dst:
+        if receiver_id == SINK:
             self._finish_copy(copy, delivered=True)
             return
-        if self.qos is QosClass.RELIABLE and receiver_id != copy.hdr.src:
+        if self.qos is QosClass.RELIABLE and receiver_id != copy.src:
             copy.parent.setdefault(receiver_id, sender_id)
-        copy.hdr.prev_hop = sender_id
-        copy.hdr.ttl -= 1
+        copy.prev_hop = sender_id
+        copy.ttl -= 1
         self._enqueue_tx(receiver, copy)
 
     def _on_ack_arrive(self, sender_id: int, receiver_id: int) -> None:
@@ -972,7 +925,7 @@ class Simulation:
         failed_id, copy = data
         sender = self.nodes[sender_id]
         self._trace(
-            "ack_timeout", sender_id, failed_id, copy.hdr.query_id, "neighbor_removed"
+            "ack_timeout", sender_id, failed_id, 0, "neighbor_removed"
         )
         if not sender.alive:
             if not copy.done:
@@ -996,11 +949,11 @@ class Simulation:
         if self._trace_lines is not None:
             if delivered:
                 kind = "delivered"
-                detail = f"copy={copy.hdr.copy_index} latency={copy.latency:.9f}"
+                detail = f"copy={copy.copy_index} latency={copy.latency:.9f}"
             else:
                 kind = "dropped"
-                detail = f"copy={copy.hdr.copy_index} reason={reason}"
-            self._trace(kind, copy.hdr.src, copy.hdr.dst, copy.hdr.query_id, detail)
+                detail = f"copy={copy.copy_index} reason={reason}"
+            self._trace(kind, copy.src, SINK, 0, detail)
 
     # ------------------------------------------------------------------
     # public primitives
@@ -1084,7 +1037,6 @@ def flood_state(config: SimConfig, qos: QosClass, topology: Topology) -> FloodSt
             FloodNode(
                 node.energy,
                 node.alive,
-                node.has_broadcast,
                 node.fit.self_hop,
                 node.fit.self_energy,
                 tuple(node.fit.entries.values()),

@@ -321,21 +321,18 @@ def check_pct_selector_equivalence(max_size=4):
     ):
         ids = sorted(fit.entries)
         for rows in all_pct_row_sets(ids, _SRC, _DST, _OTHER):
-
-            def fresh_pct():
-                # a selector records its pick in the table it is given
-                pct = Pct()
-                for node_id, s, d in rows:
-                    pct_observe((pct,), node_id, s, d)
-                return pct
-
-            got, _ = next_hop_reliable(fit, fresh_pct(), _SRC, _DST)
+            pct = Pct()
+            for node_id, s, d in rows:
+                pct_observe((pct,), node_id, s, d)
+            got, _ = next_hop_reliable(fit, pct, _SRC, _DST)
             expected = oracle_next_hop_reliable(fit, rows, _SRC, _DST)
             assert (got.next_hop if got else None) == expected, (fit, rows)
             got, _ = next_hop_delay_reliable_intermediate(
-                fit, fresh_pct(), _SRC, _DST, wait=queues.__getitem__
+                fit, pct, _SRC, _DST, wait=queues.__getitem__
             )
             expected = oracle_next_hop_delay_reliable(fit, queues, rows, _SRC, _DST)
             assert (got.next_hop if got else None) == expected, (fit, queues, rows)
+            # selectors only read the table
+            assert tuple(pct.rows) == rows, (fit, rows)
             count += 1
     return count

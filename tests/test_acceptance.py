@@ -134,13 +134,13 @@ def test_criterion_4_reliable_class_delivery_guarantee(failure_runs):
             for seed in ACCEPT_SEEDS:
                 metrics = failure_runs[(R, n, fraction, seed)]
                 connected = _connected_sources(metrics)
-                delivered = {c.hdr.src for c in metrics.copies if c.delivered}
+                delivered = {c.src for c in metrics.copies if c.delivered}
                 delivered_total += len(delivered)
                 severed_total += len(metrics.sources) - len(connected)
                 for src in metrics.sources:
                     if (src in delivered) != (src in connected):
                         reasons = [
-                            c.drop_reason for c in metrics.copies if c.hdr.src == src
+                            c.drop_reason for c in metrics.copies if c.src == src
                         ]
                         violating.append((n, fraction, seed, src, reasons))
     print(
@@ -174,7 +174,7 @@ def test_criterion_5_reliability_ordering(failure_runs):
                 for seed in ACCEPT_SEEDS:
                     metrics = failure_runs[(qos, n, fraction, seed)]
                     sources = _connected_sources(metrics)
-                    got = {c.hdr.src for c in metrics.copies if c.delivered}
+                    got = {c.src for c in metrics.copies if c.delivered}
                     assert got <= sources, f"{qos.value} crossed a cut at n={n}"
                     reached += len(sources)
                     delivered += len(got)
@@ -259,7 +259,7 @@ def test_criterion_8_property_suites(energy_latency_runs, failure_runs):
         # walk bounds on every copy; no immediate ping-pong on any path except
         # a reliable-class backtrack, which returns to a node already visited
         for copy in metrics.copies:
-            assert copy.hops <= config.effective_ttl
+            assert len(copy.path) - 1 <= config.effective_ttl
             if metrics.qos is not R:
                 assert not copy.backtracks
             for i in copy.backtracks:
@@ -275,7 +275,7 @@ def test_criterion_8_property_suites(energy_latency_runs, failure_runs):
             continue
         for copy in metrics.copies:
             if copy.delivered and not copy.fallback_used:
-                assert copy.hops == metrics.hop_counts[copy.hdr.src]
+                assert len(copy.path) - 1 == metrics.hop_counts[copy.src]
                 checked += 1
     assert checked > 0
     print(f"  normal-class path-length check on {checked} delivered copies")

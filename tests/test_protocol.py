@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from qwsn.protocol import (
     HOP_INF,
-    AdvertFields,
     DataReqHeader,
     FitEntry,
     FloodAction,
@@ -213,11 +212,13 @@ class TestAdvert:
 
     def test_three_least_hop_neighbors(self):
         fit = self._fit_with({10: 1, 11: 1, 12: 2, 13: 3})
-        assert advert_from_fit(fit) == AdvertFields(0.25, 3, (10, 11, 12))
+        assert advert_from_fit(fit, 5) == hdr(
+            99, 3, energy=0.25, forwarders=(10, 11, 12), query_id=5
+        )
 
     def test_degenerate_single_neighbor(self):
         fit = self._fit_with({10: 2})
-        assert advert_from_fit(fit).forwarders == (10,)
+        assert advert_from_fit(fit, 0).forwarders == (10,)
 
     def test_tie_break_lowest_ids(self):
         # all at equal hop: lowest three ids, regardless of arrival order
@@ -229,15 +230,15 @@ class TestAdvert:
             for sender in order:
                 fit, _ = apply_data_req(fit, hdr(sender, 1))
             fit.self_hop = 2
-            assert advert_from_fit(fit).forwarders == (11, 12, 13)
+            assert advert_from_fit(fit, 0).forwarders == (11, 12, 13)
 
     def test_unreachable_node_cannot_advertise(self):
         with pytest.raises(ValueError):
-            advert_from_fit(fit_bootstrap(7))
+            advert_from_fit(fit_bootstrap(7), 0)
 
     def test_forwarders_are_known_entries(self):
         fit = self._fit_with({5: 1, 6: 2, 7: 2, 8: 4})
-        advert = advert_from_fit(fit)
+        advert = advert_from_fit(fit, 0)
         assert set(advert.forwarders) <= set(fit.entries)
 
 

@@ -230,9 +230,12 @@ class TestPct:
 class TestNextHopReliable:
     def test_empty_pct_takes_least_hop(self):
         fit = make_fit([entry(1, hop=1), entry(2, hop=2)])
-        decision, pct = next_hop_reliable(fit, Pct(), SRC, DST)
+        empty = Pct()
+        decision, pct = next_hop_reliable(fit, empty, SRC, DST)
         assert decision.next_hop == 1
-        assert (1, SRC, DST) in pct.rows
+        # the selector only reads the table; the engine records the pick
+        assert pct is empty
+        assert not pct.rows
 
     def test_blocked_for_same_pair(self):
         fit = make_fit([entry(1, hop=1), entry(2, hop=2)])

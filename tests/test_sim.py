@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_pct_observe
 from qwsn.protocol import HOP_INF, QosClass
-from qwsn.routing import Pct
+from qwsn.routing import Pct, Rationale
 from qwsn.sim import (
     SINK,
     NodeState,
@@ -273,6 +274,34 @@ def diamond_topology():
     return Topology(positions)
 
 
+def pocket_simulation():
+    """A flooded reliable-class run on a 15-node map with a pocket and a
+    severed cluster.
+
+    Row y=0: sink(0) D(1) P(2) A(3) S(4), 12 m apart.  A detour leaves A
+    upward through B(5) C(6) and returns along y=24 via E(7) F(8) G(9) and
+    down through H(10) to the sink; B is one hop farther from the sink than
+    A.  Below: X(11) links the sink to a cluster T(12) K(13) L(14).  D and X
+    fail after the flood, so pocket P's only alive neighbour is A, which
+    every copy of S passes on its way in, and T is severed from the sink.
+    """
+    positions = np.array(
+        [
+            [0.0, 0.0], [12.0, 0.0], [24.0, 0.0], [36.0, 0.0], [48.0, 0.0],
+            [36.0, 12.0], [36.0, 24.0], [24.0, 24.0], [12.0, 24.0],
+            [0.0, 24.0], [0.0, 12.0],
+            [0.0, -12.0], [0.0, -24.0], [12.0, -24.0], [24.0, -24.0],
+        ]
+    )
+    cfg = SimConfig(n=len(positions), side=50.0, seed=0)
+    sim = Simulation(cfg, QosClass.RELIABLE, topology=Topology(positions))
+    sim.run_flood(0)
+    assert [sim.nodes[i].fit.self_hop for i in (3, 5)] == [3, 4]
+    for dead in (1, 11):
+        sim.nodes[dead].alive = False
+    return sim
+
+
 class TestWaitRanking:
     def test_delay_decision_follows_queue_changes_between_decisions(self):
         cfg = line_config(n=4, short_range=10.0, long_range=15.0)
@@ -280,7 +309,7 @@ class TestWaitRanking:
         sim.run_flood(0)
         source = sim.nodes[3]
         assert {n: e.hop for n, e in source.fit.entries.items()} == {1: 1, 2: 1}
-        copy = sim._new_copy(3, 0, 0, None, None, None)
+        copy = sim._new_copy(3, 0, 0, None, None)
         picks = []
         for queued in ((0, 0), (2, 0), (2, 3), (0, 1)):
             for relay, jobs in zip((1, 2), queued):
@@ -372,6 +401,80 @@ class TestOverhearing:
         assert all(src != 2 for _, src, _ in relay.pct.rows)
 
 
+def check_pct_writes(sim):
+    """Check every PCT write of the reliable classes' own decisions.
+
+    After a routing decision the deciding node's PCT must be the table it
+    had before plus the committed pick, and after a dispatch the source's
+    table must be the one it had plus each first hop, in path order.
+    Returns the rationales of the checked decisions.
+    """
+    rationales = []
+    route, dispatch = sim._route, sim._dispatch_source
+
+    def recorded(rows, picks, src, capacity):
+        for pick in picks:
+            rows = reference_pct_observe(rows, pick, src, SINK, capacity)
+        return rows
+
+    def checked_route(node, copy):
+        before = tuple(node.pct.rows)
+        decision = route(node, copy)
+        picks = [decision.next_hop] if decision is not None else []
+        assert tuple(node.pct.rows) == recorded(
+            before, picks, copy.src, node.pct.capacity
+        )
+        if decision is not None:
+            rationales.append(decision.rationale)
+        return decision
+
+    def checked_dispatch(src_id):
+        pct = sim.nodes[src_id].pct
+        before = tuple(pct.rows)
+        copies = dispatch(src_id)
+        firsts = [c.forced_next for c in copies if c.forced_next is not None]
+        assert tuple(pct.rows) == recorded(before, firsts, src_id, pct.capacity)
+        return copies
+
+    sim._route = checked_route
+    sim._dispatch_source = checked_dispatch
+    return rationales
+
+
+class TestPctWrites:
+    """The engine records each reliable-class pick in the picking node's PCT."""
+
+    def test_stage_one_and_tarry_steps_record_their_pick(self):
+        sim = pocket_simulation()
+        rationales = check_pct_writes(sim)
+        sim.deliver_replies([4, 12])
+        assert {
+            Rationale.PRIMARY_RELIABLE,
+            Rationale.FALLBACK,
+            Rationale.BACKTRACK,
+        } <= set(rationales)
+
+    def test_hybrid_fallback_records_its_pick(self):
+        # the third copy finds both sink-ward relays already on its path
+        cfg = line_config(n=4, short_range=10.0, long_range=15.0)
+        sim = Simulation(cfg, QosClass.DELAY_RELIABLE, topology=diamond_topology())
+        sim.run_flood(0)
+        rationales = check_pct_writes(sim)
+        batch = sim.deliver_replies([3])
+        assert all(c.delivered for c in batch)
+        assert {Rationale.MIN_WAIT, Rationale.FALLBACK} <= set(rationales)
+
+    @pytest.mark.parametrize("qos", [QosClass.RELIABLE, QosClass.DELAY_RELIABLE])
+    def test_dispatch_records_every_first_hop(self, qos):
+        cfg = line_config(n=4, short_range=12.0, long_range=15.0)
+        sim = Simulation(cfg, qos, topology=diamond_topology())
+        sim.run_flood(0)
+        check_pct_writes(sim)
+        copies = sim.deliver_replies([3])
+        assert {c.path[1] for c in copies} == {1, 2}
+        assert {(1, 3, SINK), (2, 3, SINK)} <= set(sim.nodes[3].pct.rows)
+
+
 class TestWaitingTime:
     """The selectors estimate a node's waiting time by its ``queue_len``."""
 
@@ -457,31 +560,10 @@ class TestDeliverReplies:
             assert 1 not in c.path[1:]
 
     def test_reliable_backtracks_out_of_pocket_and_exhausts_severed_source(self):
-        # Row y=0: sink(0) D(1) P(2) A(3) S(4), 12 m apart.  A detour leaves A
-        # upward through B(5) C(6) and returns along y=24 via E(7) F(8) G(9)
-        # and down through H(10) to the sink; B is one hop farther from the
-        # sink than A.  Below: X(11) links the sink to a cluster T(12) K(13)
-        # L(14).  D and X fail after the flood, so pocket P's only alive
-        # neighbour is A, which every copy of S passes on its way in, and T
-        # is severed from the sink.
-        positions = np.array(
-            [
-                [0.0, 0.0], [12.0, 0.0], [24.0, 0.0], [36.0, 0.0], [48.0, 0.0],
-                [36.0, 12.0], [36.0, 24.0], [24.0, 24.0], [12.0, 24.0],
-                [0.0, 24.0], [0.0, 12.0],
-                [0.0, -12.0], [0.0, -24.0], [12.0, -24.0], [24.0, -24.0],
-            ]
-        )
-        topo = Topology(positions)
-        cfg = SimConfig(n=len(positions), side=50.0, seed=0)
-        sim = Simulation(cfg, QosClass.RELIABLE, topology=topo)
-        sim.run_flood(0)
-        assert [sim.nodes[i].fit.self_hop for i in (3, 5)] == [3, 4]
-        for dead in (1, 11):
-            sim.nodes[dead].alive = False
+        sim = pocket_simulation()
         batch = sim.deliver_replies([4, 12])
-        pocket = [c for c in batch if c.hdr.src == 4]
-        severed = [c for c in batch if c.hdr.src == 12]
+        pocket = [c for c in batch if c.src == 4]
+        severed = [c for c in batch if c.src == 12]
         assert all(c.delivered for c in pocket)
         for c in pocket:
             # into the pocket and back out the way the copy came
@@ -514,8 +596,8 @@ class TestDeliverReplies:
         for src in sim.sources:
             firsts = {}
             for c in batch:
-                if c.hdr.src == src and len(c.path) > 1:
-                    firsts.setdefault(c.hdr.path_id, set()).add(c.path[1])
+                if c.src == src and len(c.path) > 1:
+                    firsts.setdefault(c.path_id, set()).add(c.path[1])
             # each path id maps to exactly one first hop
             assert all(len(v) == 1 for v in firsts.values())
             distinct = {next(iter(v)) for v in firsts.values()}
