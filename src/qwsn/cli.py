@@ -17,6 +17,7 @@ every sweep cell was skipped as unconnectable.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -46,7 +47,11 @@ EXIT_PARSE = 2
 EXIT_UNCONNECTABLE = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and a run of many ``main`` calls would otherwise rebuild it each
+    time."""
     parser = argparse.ArgumentParser(
         prog="qwsn",
         description="Query-driven multi-service sensor network simulator",

@@ -4,9 +4,10 @@ Selectors read the caller's tables and never change them: neither the
 forwarding table nor the path construction table (PCT).  They return
 ``None`` when no usable neighbour remains ("no route").  The PCT has one
 insert/evict rule, :func:`pct_observe`, which only the engine calls: it
-records the pick a node commits to, since choosing a forwarder puts it on
-the path for that source/destination pair, as well as the first hops of a
-dispatch and every overheard reply.  The wait-ranked selectors of the
+records every overheard reply and the first hops of a dispatch, either as
+they happen or replayed in the same order when the node reads its table,
+and the pick a node commits to, since choosing a forwarder puts it on the
+path for that source/destination pair.  The wait-ranked selectors of the
 delay-sensitive classes take a lookup ``wait(node_id)`` that returns a
 neighbour's current transmit-queue length; the table stores no queue
 lengths.
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .protocol import Fit, FitEntry
 
@@ -50,21 +51,22 @@ class Pct:
 
 
 def pct_observe(
-    tables: Iterable[Pct], overheard_forwarder: int, src: int, dst: int
+    tables: Sequence[Pct], rows: Iterable[tuple[int, int, int]]
 ) -> None:
-    """Record one forwarding event in every given table, in place.
+    """Record ``(forwarder, src, dst)`` rows, in order, in every given table.
 
-    One transmission is overheard by many nodes, so the row is built once
-    and each table applies the same rule: a duplicate is a no-op, and a new
-    row past capacity evicts the table's oldest one.
+    Each row is one forwarding event and each table applies the same rule to
+    it, in place: a duplicate is a no-op, and a new row past capacity evicts
+    the table's oldest one.  One overheard reply is one row for many tables;
+    one replay is many rows for one table.
     """
-    row = (overheard_forwarder, src, dst)
-    for pct in tables:
-        rows = pct.rows
-        if row not in rows:
-            rows[row] = None
-            if len(rows) > pct.capacity:
-                del rows[next(iter(rows))]
+    for row in rows:
+        for pct in tables:
+            table = pct.rows
+            if row not in table:
+                table[row] = None
+                if len(table) > pct.capacity:
+                    del table[next(iter(table))]
 
 
 def _pct_blocks(pct: Pct, node_id: int, src: int, dst: int) -> bool:

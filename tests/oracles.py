@@ -322,8 +322,7 @@ def check_pct_selector_equivalence(max_size=4):
         ids = sorted(fit.entries)
         for rows in all_pct_row_sets(ids, _SRC, _DST, _OTHER):
             pct = Pct()
-            for node_id, s, d in rows:
-                pct_observe((pct,), node_id, s, d)
+            pct_observe((pct,), rows)
             got, _ = next_hop_reliable(fit, pct, _SRC, _DST)
             expected = oracle_next_hop_reliable(fit, rows, _SRC, _DST)
             assert (got.next_hop if got else None) == expected, (fit, rows)

@@ -1,7 +1,13 @@
 """Command-line surface: subcommands, outputs, exit codes, env override."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from qwsn import cli
 from qwsn.cli import EXIT_OK, EXIT_PARSE, EXIT_UNCONNECTABLE, main
 from qwsn.harness import CSV_HEADER
 
@@ -40,6 +46,19 @@ class TestRun:
     def test_failure_fraction_out_of_range_exits_2(self, capsys):
         assert main(["run", "--failure", "1.5"]) == EXIT_PARSE
         _assert_one_error_line(capsys)
+
+    def test_one_parser_serves_successive_calls(self, tmp_path, capsys):
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        argv = ["run", "--qos", "reliable", "--nodes", "12", "--seed", "1"]
+        assert main([*argv, "--out", str(first)]) == EXIT_OK
+        assert main(["run", "--nodes", "14", "--out", str(second)]) == EXIT_OK
+        # the second call's defaults are not the first call's values
+        assert first.read_text().splitlines()[1].startswith("reliable,12,0.000000000,1,")
+        assert second.read_text().splitlines()[1].startswith("normal,14,0.000000000,0,")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--nodes", "twelve"])
+        assert exc.value.code == EXIT_PARSE
 
     def test_trace_writes_event_dump(self, tmp_path):
         trace = tmp_path / "events.tsv"
@@ -192,3 +211,30 @@ class TestComparePegasis:
         fig8 = (out / "fig8.tsv").read_text().splitlines()
         assert fig8[0] == "failure_fraction\tcase4\tpegasis"
         assert len(fig8) == 3
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_import_starts_one_thread():
+    # numpy's OpenBLAS starts one thread unless the user asked for more
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import os, qwsn.cli; "
+        "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+
+    def spawn():
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        return run.stdout.split()
+
+    assert spawn() == ["1", "1"]
+    env["OPENBLAS_NUM_THREADS"] = "2"
+    assert spawn()[1] == "2"

@@ -41,8 +41,7 @@ SRC, DST, OTHER = 77, 0, 78
 def observed(*rows):
     """A fresh PCT holding ``rows``, each recorded through ``pct_observe``."""
     pct = Pct()
-    for row in rows:
-        pct_observe((pct,), *row)
+    pct_observe((pct,), rows)
     return pct
 
 
@@ -161,7 +160,7 @@ class TestPct:
     def test_fifo_eviction_at_capacity(self):
         pct = Pct()
         for i in range(PCT_CAPACITY + 1):
-            pct_observe((pct,), i, SRC, DST)
+            pct_observe((pct,), [(i, SRC, DST)])
         rows = tuple(pct.rows)
         assert len(rows) == PCT_CAPACITY
         assert rows[0] == (1, SRC, DST)  # row 0 evicted
@@ -170,7 +169,7 @@ class TestPct:
     def test_rows_unique(self):
         pct = Pct()
         for _ in range(5):
-            pct_observe((pct,), 1, SRC, DST)
+            pct_observe((pct,), [(1, SRC, DST)])
         assert len(pct.rows) == 1
 
     @given(
@@ -192,7 +191,7 @@ class TestPct:
         pct = Pct(capacity=capacity)
         reference = ()
         for node_id, src, dst in steps:
-            pct_observe((pct,), node_id, src, dst)
+            pct_observe((pct,), [(node_id, src, dst)])
             reference = reference_pct_observe(reference, node_id, src, dst, capacity)
             assert tuple(pct.rows) == reference
 
@@ -203,27 +202,34 @@ class TestPct:
         steps=st.lists(
             st.tuples(
                 st.lists(st.booleans(), min_size=4, max_size=4),
-                st.integers(min_value=0, max_value=47),
-                st.integers(min_value=0, max_value=2),
-                st.integers(min_value=0, max_value=1),
+                st.lists(
+                    st.tuples(
+                        st.integers(min_value=0, max_value=47),
+                        st.integers(min_value=0, max_value=2),
+                        st.integers(min_value=0, max_value=1),
+                    ),
+                    max_size=4,
+                ),
             ),
-            min_size=2 * PCT_CAPACITY,
-            max_size=160,
+            min_size=PCT_CAPACITY,
+            max_size=100,
         ),
     )
     @settings(max_examples=40, deadline=None)
     def test_many_tables_match_tuple_reference(self, capacities, steps):
-        # each step records one row in a subset of the tables, as one
-        # overheard transmission does, so the tables drift apart
+        # each step records a batch of rows in a subset of the tables, as one
+        # overheard reply does in the tables already read or one replay does
+        # in one table, so the tables drift apart
         pcts = [Pct(capacity=c) for c in capacities]
         references = [()] * len(pcts)
-        for chosen, node_id, src, dst in steps:
+        for chosen, rows in steps:
             picked = [i for i in range(len(pcts)) if chosen[i]]
-            pct_observe((pcts[i] for i in picked), node_id, src, dst)
+            pct_observe([pcts[i] for i in picked], rows)
             for i in picked:
-                references[i] = reference_pct_observe(
-                    references[i], node_id, src, dst, capacities[i]
-                )
+                for row in rows:
+                    references[i] = reference_pct_observe(
+                        references[i], *row, capacities[i]
+                    )
             assert [tuple(p.rows) for p in pcts] == references
 
 

@@ -9,9 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qwsn.sim
 from oracles import reference_pct_observe
 from qwsn.protocol import HOP_INF, QosClass
-from qwsn.routing import Pct, Rationale
+from qwsn.routing import (
+    PCT_CAPACITY,
+    Pct,
+    Rationale,
+    next_hop_delay_reliable_intermediate,
+    next_hop_reliable,
+)
 from qwsn.sim import (
     SINK,
     NodeState,
@@ -389,16 +396,16 @@ class TestOverhearing:
         assert not relay.alive
         assert ("node_died", 3) in {(t[1], t[2]) for t in sim._trace_lines}
         # while alive it overheard node 4's first copy
-        assert (4, 4, SINK) in relay.pct.rows
+        assert (4, 4, SINK) in sim.pct(3).rows
         mark = len(sim._trace_lines)
         sim.deliver_replies([2])
         senders = {t[2] for t in sim._trace_lines[mark:] if t[1] == "unicast"}
         assert senders
         for sender in senders:
             for nbr in topology.neighbors(sender, cfg.short_range):
-                recorded = (sender, 2, SINK) in sim.nodes[nbr].pct.rows
+                recorded = (sender, 2, SINK) in sim.pct(nbr).rows
                 assert recorded is sim.nodes[nbr].alive, (sender, nbr)
-        assert all(src != 2 for _, src, _ in relay.pct.rows)
+        assert all(src != 2 for _, src, _ in sim.pct(3).rows)
 
 
 def check_pct_writes(sim):
@@ -418,22 +425,25 @@ def check_pct_writes(sim):
         return rows
 
     def checked_route(node, copy):
-        before = tuple(node.pct.rows)
+        pct = sim.pct(node.id)
+        before = tuple(pct.rows)
         decision = route(node, copy)
         picks = [decision.next_hop] if decision is not None else []
-        assert tuple(node.pct.rows) == recorded(
-            before, picks, copy.src, node.pct.capacity
+        assert tuple(sim.pct(node.id).rows) == recorded(
+            before, picks, copy.src, pct.capacity
         )
         if decision is not None:
             rationales.append(decision.rationale)
         return decision
 
     def checked_dispatch(src_id):
-        pct = sim.nodes[src_id].pct
+        pct = sim.pct(src_id)
         before = tuple(pct.rows)
         copies = dispatch(src_id)
         firsts = [c.forced_next for c in copies if c.forced_next is not None]
-        assert tuple(pct.rows) == recorded(before, firsts, src_id, pct.capacity)
+        assert tuple(sim.pct(src_id).rows) == recorded(
+            before, firsts, src_id, pct.capacity
+        )
         return copies
 
     sim._route = checked_route
@@ -472,7 +482,125 @@ class TestPctWrites:
         check_pct_writes(sim)
         copies = sim.deliver_replies([3])
         assert {c.path[1] for c in copies} == {1, 2}
-        assert {(1, 3, SINK), (2, 3, SINK)} <= set(sim.nodes[3].pct.rows)
+        assert {(1, 3, SINK), (2, 3, SINK)} <= set(sim.pct(3).rows)
+
+
+def shadow_pcts(sim, monkeypatch):
+    """Record the eager PCT rule beside ``sim`` and check the tables it reads.
+
+    The shadow writes, through ``oracles.reference_pct_observe``, each
+    overheard reply into the table of every neighbour of its sender that is
+    alive at the arrival, each dispatch's first hops into the source's table
+    and each committed pick into the picking node's table.  Every table a
+    PCT-checked selector receives must equal the shadow's at that moment.
+    Returns the shadow tables, the number of new rows each took and a list
+    that counts the checked reads.
+    """
+    shadow = [()] * sim.config.n
+    added = [0] * sim.config.n
+    reads = []
+
+    def record(node_id, forwarder, src):
+        rows = reference_pct_observe(
+            shadow[node_id], forwarder, src, SINK, PCT_CAPACITY
+        )
+        if rows is not shadow[node_id]:
+            added[node_id] += 1
+            shadow[node_id] = rows
+
+    arrive, dispatch, route = sim._on_unicast_arrive, sim._dispatch_source, sim._route
+
+    def shadow_arrive(receiver_id, data):
+        sender_id, copy, _ = data
+        for nbr in sim.topology.neighbors(sender_id, sim.active_range):
+            if sim.nodes[nbr].alive:
+                record(nbr, sender_id, copy.src)
+        arrive(receiver_id, data)
+
+    def shadow_dispatch(src_id):
+        copies = dispatch(src_id)
+        # copy k rides first hop k % len(firsts), so the first hops are the
+        # distinct forced hops in copy order
+        firsts = [c.forced_next for c in copies if c.forced_next is not None]
+        for first in dict.fromkeys(firsts):
+            record(src_id, first, src_id)
+        return copies
+
+    def shadow_route(node, copy):
+        decision = route(node, copy)
+        if decision is not None:
+            record(node.id, decision.next_hop, copy.src)
+        return decision
+
+    def checked(select):
+        def wrapper(fit, pct, *args, **kwargs):
+            assert tuple(pct.rows) == shadow[fit.self_id], fit.self_id
+            reads.append(fit.self_id)
+            return select(fit, pct, *args, **kwargs)
+
+        return wrapper
+
+    sim._on_unicast_arrive = shadow_arrive
+    sim._dispatch_source = shadow_dispatch
+    sim._route = shadow_route
+    monkeypatch.setattr(qwsn.sim, "next_hop_reliable", checked(next_hop_reliable))
+    monkeypatch.setattr(
+        qwsn.sim,
+        "next_hop_delay_reliable_intermediate",
+        checked(next_hop_delay_reliable_intermediate),
+    )
+    return shadow, added, reads
+
+
+class TestPctReplay:
+    """Every table holds exactly what recording each row as it is overheard
+    would write, whether rows go straight into the tables or to the log."""
+
+    @pytest.mark.parametrize("replay", [False, True])
+    @pytest.mark.parametrize("qos", [QosClass.RELIABLE, QosClass.DELAY_RELIABLE])
+    def test_tables_match_eager_recording(self, qos, replay, monkeypatch):
+        reads = 0
+        for n in (50, 100):
+            for failure in (0.0, 0.2):
+                for seed in range(4):
+                    cfg = SimConfig(n=n, seed=seed, failure_fraction=failure)
+                    sim = Simulation(cfg, qos)
+                    # multi-hop, so rows go straight into the tables unless
+                    # the log is forced
+                    assert not sim._replay
+                    sim._replay = replay
+                    sim.run_flood(0)
+                    shadow, _, checked = shadow_pcts(sim, monkeypatch)
+                    sim.inject_failures()
+                    sim.deliver_replies()
+                    assert [tuple(sim.pct(i).rows) for i in range(n)] == shadow
+                    reads += len(checked)
+        assert reads > 100
+
+    def test_single_hop_run_with_evictions_and_deaths(self, monkeypatch):
+        # every node hears every reply; small batteries kill nodes while
+        # their neighbours keep sending
+        cfg = SimConfig(
+            n=100,
+            side=50.0,
+            long_range=110.0,
+            e_init=0.008,
+            failure_fraction=0.2,
+            seed=1,
+        )
+        sim = Simulation(cfg, QosClass.DELAY_RELIABLE)
+        assert sim._replay
+        sim.run_flood(0)
+        shadow, added, reads = shadow_pcts(sim, monkeypatch)
+        sim.inject_failures()
+        alive = {node.id for node in sim.nodes if node.alive}
+        for round_index in range(60):
+            sim.run_reply_round(round_index)
+        died = alive - {node.id for node in sim.nodes if node.alive}
+        assert died, "no node died during the replies"
+        assert max(added) > PCT_CAPACITY
+        assert reads
+        assert [tuple(sim.pct(i).rows) for i in range(cfg.n)] == shadow
 
 
 class TestWaitingTime:
