@@ -2,15 +2,14 @@
 
 Selectors read the caller's tables and never change them: neither the
 forwarding table nor the path construction table (PCT).  They return
-``None`` when no usable neighbour remains ("no route").  The PCT has one
-insert/evict rule, :func:`pct_observe`, which only the engine calls: it
-records every overheard reply and the first hops of a dispatch, either as
-they happen or replayed in the same order when the node reads its table,
-and the pick a node commits to, since choosing a forwarder puts it on the
-path for that source/destination pair.  The wait-ranked selectors of the
-delay-sensitive classes take a lookup ``wait(node_id)`` that returns a
-neighbour's current transmit-queue length; the table stores no queue
-lengths.
+``None`` when no usable neighbour remains ("no route").  The PCT holds one
+reply round's rows and has one insert rule, :func:`pct_observe`, which only
+the engine calls: it records every reply a node sends, which the sender's
+neighbours overhear, the first hops of a dispatch and the pick a node
+commits to, since choosing a forwarder puts it on the path for that
+source.  The wait-ranked selectors of the delay-sensitive classes take a
+lookup ``wait(node_id)`` that returns a neighbour's current transmit-queue
+length; the table stores no queue lengths.
 
 Tie-breaking is deterministic throughout: candidates compare by
 ``(ranking key..., hop, node id)`` so identical tables always yield
@@ -22,56 +21,55 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 from .protocol import Fit, FitEntry
 
 # Looks up a neighbour's current transmit-queue length by node id.
 Wait = Callable[[int], int]
 
-# Path construction tables live on memory-constrained sensors; rows beyond
-# this bound evict oldest-first.
-PCT_CAPACITY = 64
-
 _CANDIDATES = 3  # selectors shortlist the three least-hop neighbours
 
 
 @dataclass
 class Pct:
-    """Path construction table: (forwarder, source, destination) rows.
+    """Path construction table of one reply round.
 
-    ``rows`` is an insertion-ordered dict used as a set, keyed by
-    ``(node_id, src, dst)`` tuples, each the overheard fact that ``node_id``
-    forwards traffic from src to dst.  Membership is O(1) and capacity
-    eviction is oldest-first.
+    Every reply copy goes to the sink, so a row is a ``(forwarder, src)``
+    pair: ``forwarder`` carries source ``src``'s reply.  ``heard`` holds the
+    pairs of the replies sent this round; each sender's neighbours overhear
+    them.  ``own`` holds ``(node, forwarder, src)`` rows a node wrote
+    itself: the first hops it dispatched as a source and the picks it
+    committed to as a relay.
     """
 
-    rows: dict[tuple[int, int, int], None] = field(default_factory=dict)
-    capacity: int = PCT_CAPACITY
+    heard: set[tuple[int, int]] = field(default_factory=set)
+    own: set[tuple[int, int, int]] = field(default_factory=set)
 
 
 def pct_observe(
-    tables: Sequence[Pct], rows: Iterable[tuple[int, int, int]]
+    pct: Pct, forwarder: int, src: int, node: int | None = None
 ) -> None:
-    """Record ``(forwarder, src, dst)`` rows, in order, in every given table.
+    """Record that ``forwarder`` carries ``src``'s reply this round.
 
-    Each row is one forwarding event and each table applies the same rule to
-    it, in place: a duplicate is a no-op, and a new row past capacity evicts
-    the table's oldest one.  One overheard reply is one row for many tables;
-    one replay is many rows for one table.
+    With ``node`` the row is that node's own, a dispatch first hop or a
+    committed pick; without, it is a sent reply every neighbour of its
+    sender overhears.  A duplicate is a no-op.
     """
-    for row in rows:
-        for pct in tables:
-            table = pct.rows
-            if row not in table:
-                table[row] = None
-                if len(table) > pct.capacity:
-                    del table[next(iter(table))]
+    if node is None:
+        pct.heard.add((forwarder, src))
+    else:
+        pct.own.add((node, forwarder, src))
 
 
-def _pct_blocks(pct: Pct, node_id: int, src: int, dst: int) -> bool:
-    """True when the PCT already places ``node_id`` on the (src, dst) path."""
-    return (node_id, src, dst) in pct.rows
+def _pct_blocks(pct: Pct, node_id: int, candidate: int, src: int) -> bool:
+    """True when ``node_id``'s view of the PCT already places ``candidate``
+    on ``src``'s path this round.
+
+    ``candidate`` is ``node_id``'s neighbour and a reading node is alive, so
+    it overheard every reply ``candidate`` sent this round.
+    """
+    return (candidate, src) in pct.heard or (node_id, candidate, src) in pct.own
 
 
 class Rationale(Enum):
@@ -193,7 +191,6 @@ def _next_hop_pct_checked(
     fit: Fit,
     pct: Pct,
     src: int,
-    dst: int,
     excluded: frozenset[int] | set[int] = frozenset(),
     *,
     rank: Callable[[FitEntry], tuple],
@@ -201,9 +198,9 @@ def _next_hop_pct_checked(
 ) -> tuple[RouteDecision | None, Pct]:
     """PCT-checked selection used at reliable-class intermediates.
 
-    The best-ranked neighbour is taken unless the local PCT already records
-    it on the path of this very (src, dst) pair, in which case it is excluded
-    and the search repeats; appearing on other pairs' paths is fine.  The
+    The best-ranked neighbour is taken unless the PCT already places it on
+    the path of this very source, in which case it is excluded and the
+    search repeats; appearing on other sources' paths is fine.  The
     pick's rationale is ``first`` if no neighbour was skipped, else
     ``ALTERNATE_RELIABLE``.  The PCT is only read: the engine records the
     pick once it commits to it.
@@ -215,7 +212,7 @@ def _next_hop_pct_checked(
     skipped = False
     while remaining:
         pick = min(remaining.values(), key=rank)
-        if _pct_blocks(pct, pick.neighbor, src, dst):
+        if _pct_blocks(pct, fit.self_id, pick.neighbor, src):
             del remaining[pick.neighbor]
             skipped = True
             continue
@@ -234,7 +231,6 @@ def next_hop_delay_reliable_intermediate(
     fit: Fit,
     pct: Pct,
     src: int,
-    dst: int,
     excluded: frozenset[int] | set[int] = frozenset(),
     *,
     wait: Wait,
@@ -243,7 +239,7 @@ def next_hop_delay_reliable_intermediate(
     Returns ``(decision, pct)`` like :func:`next_hop_reliable`."""
     rank = _by_wait_hop_id(wait)
     return _next_hop_pct_checked(
-        fit, pct, src, dst, excluded, rank=rank, first=Rationale.MIN_WAIT
+        fit, pct, src, excluded, rank=rank, first=Rationale.MIN_WAIT
     )
 
 

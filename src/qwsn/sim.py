@@ -17,14 +17,13 @@ its jobs as they are: a query id to rebroadcast or the :class:`ReplyCopy` to
 forward.
 
 Path construction tables (reliable classes): every alive neighbour of a
-reply's sender overhears it and records the row, a source records its
-dispatch's first hops, and a node records each pick it commits to.  In a
-multi-hop network the engine writes the overheard rows and first hops into
-the tables as they happen, since the relays on a path read their tables at
-every hop.  When every node hears the sink, replies rarely pass a relay and
-few tables are ever read, so the engine logs those rows instead and a node
-replays its share when it reads its table (:meth:`Simulation.pct`); both
-give every table the same rows in the same order.
+reply's sender overhears it, a source records its dispatch's first hops,
+and a node records each pick it commits to.  Rows live for one reply round,
+one :meth:`Simulation.deliver_replies` call, which answers one query, so the
+run keeps one table, :attr:`Simulation.pct`, and starts it empty each
+round.  Overheard replies go into it once, not once per overhearer: a node
+reads the table only about its neighbours, and an alive reader was alive,
+and so overheard, at every earlier arrival of the round.
 
 Timing model: every transmission (broadcast or unicast) occupies the
 sender's radio for one service time, so per-hop latency is the sender's
@@ -45,7 +44,6 @@ order.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, fields
 from heapq import heappop, heappush
@@ -318,7 +316,6 @@ class NodeState:
     id: int
     energy: float
     fit: Fit
-    pct: Pct
     alive: bool = True
     tx_queue: deque = field(default_factory=deque)
     transmitting: bool = False
@@ -431,7 +428,6 @@ class Simulation:
                     id=i,
                     energy=config.e_init,
                     fit=fit_bootstrap(i, is_sink=(i == SINK), energy=config.e_init),
-                    pct=Pct(),
                 )
                 for i in range(config.n)
             ]
@@ -452,7 +448,6 @@ class Simulation:
                         saved.self_energy,
                         {row.neighbor: row for row in saved.rows},
                     ),
-                    pct=Pct(),
                     alive=saved.alive,
                 )
                 for i, saved in enumerate(flood.nodes)
@@ -463,21 +458,8 @@ class Simulation:
         self._heap: list[tuple[float, int, Callable, int, object]] = []
         self.copies: list[ReplyCopy] = []
         self.failed_nodes: tuple[int, ...] = ()
-        # Overheard rows and first hops go to the PCT log when every node
-        # hears the sink (see the module docstring).  Entry p of the log is
-        # the row (_log_fwd[p], _log_src[p], SINK); ``_heard[i]`` holds,
-        # ascending, the positions of the replies node i sent, which its
-        # neighbours overhear, and ``_heard[~i]`` those of node i's dispatch
-        # first hops.  A node's table holds the log's rows up to position
-        # ``_replayed[i]``; ``_died_at[i]`` is the log position at which a
-        # node died in this run (a node dead before has none: 0).
-        sink_hearers = self.topology.neighbors(SINK, self.active_range)
-        self._replay = len(sink_hearers) == config.n - 1
-        self._log_fwd: list[int] = []
-        self._log_src: list[int] = []
-        self._heard: dict[int, list[int]] = {}
-        self._replayed: dict[int, int] = {}
-        self._died_at: dict[int, int] = {}
+        # the current reply round's path construction table
+        self.pct = Pct()
         self.sources = seeded_draw(
             [config.seed, _SOURCE_STREAM], range(1, config.n), config.sources
         )
@@ -500,15 +482,7 @@ class Simulation:
 
     def _kill(self, node: NodeState, reason: str) -> None:
         node.alive = False
-        self._died_at[node.id] = len(self._log_src)
         self._trace("node_died", node.id, -1, -1, reason)
-
-    def _log(self, key: int, forwarder: int, src: int) -> None:
-        """Append the row ``(forwarder, src, SINK)`` to the PCT log under
-        ``key``."""
-        self._heard.setdefault(key, []).append(len(self._log_src))
-        self._log_fwd.append(forwarder)
-        self._log_src.append(src)
 
     def _debit(self, node: NodeState, amount: float) -> bool:
         """Charge a node; the sink is externally powered and never charged.
@@ -675,7 +649,9 @@ class Simulation:
     # replies
 
     def deliver_replies(self, sources: Iterable[int] | None = None) -> list[ReplyCopy]:
-        """Dispatch every source's reply copies and run to quiescence."""
+        """Answer one query: dispatch every source's reply copies and run to
+        quiescence, with path construction rows from this round only."""
+        self.pct = Pct()
         batch: list[ReplyCopy] = []
         for src in sources if sources is not None else self.sources:
             batch.extend(self._dispatch_source(src))
@@ -736,11 +712,8 @@ class Simulation:
                 copy = self._new_copy(src_id, k, path_id, firsts[path_id], self.now)
                 copies.append(copy)
                 self._enqueue_tx(node, copy)
-            if self._replay:
-                for first in firsts:
-                    self._log(~src_id, first, src_id)
-            else:
-                pct_observe((node.pct,), [(first, src_id, SINK) for first in firsts])
+            for first in firsts:
+                pct_observe(self.pct, first, src_id, src_id)
         else:
             # Normal and delay-sensitive classes send their copies one after
             # another, each routed afresh when it reaches the radio.
@@ -786,10 +759,9 @@ class Simulation:
         4 are backtracks.  The hybrid sends without acks and keeps the staged
         relaxation of :meth:`_reliable_fallback`.
 
-        The stages only choose.  When PCT rows go to the log, the node's
-        table is replayed up to now before they do (:meth:`pct`).  The pick,
-        whichever stage made it, is recorded here once, in ``forwarded`` and
-        in that table.
+        The stages only choose.  The pick, whichever stage made it, is
+        recorded here once, in ``forwarded`` and as the node's own row of the
+        round's PCT.
         """
         prev = copy.prev_hop
         parent = copy.parent.get(node.id)
@@ -806,13 +778,12 @@ class Simulation:
         base = {n for n in (prev, parent) if n is not None}
 
         excluded = frozenset(base | backward | tried)
-        pct = self.pct(node.id) if self._replay else node.pct
         if by_wait:
             decision, _ = next_hop_delay_reliable_intermediate(
-                fit, pct, copy.src, SINK, excluded, wait=self._wait
+                fit, self.pct, copy.src, excluded, wait=self._wait
             )
         else:
-            decision, _ = next_hop_reliable(fit, pct, copy.src, SINK, excluded)
+            decision, _ = next_hop_reliable(fit, self.pct, copy.src, excluded)
         if decision is None:
             if by_wait:
                 decision = self._reliable_fallback(node, base, backward, tried)
@@ -820,7 +791,7 @@ class Simulation:
                 decision = self._tarry_step(node, prev, parent, tried)
         if decision is not None:
             copy.forwarded.setdefault(node.id, set()).add(decision.next_hop)
-            pct_observe((pct,), ((decision.next_hop, copy.src, SINK),))
+            pct_observe(self.pct, decision.next_hop, copy.src, node.id)
         return decision
 
     def _tarry_step(
@@ -921,15 +892,8 @@ class Simulation:
         with_ack = self.qos is QosClass.RELIABLE
         if self.qos in _RELIABLE_CLASSES:
             # The header is overheard across the sender's neighbourhood and
-            # feeds the path construction tables of the reliable classes: one
-            # row, for every alive overhearer's table.
-            if self._replay:
-                self._log(sender_id, sender_id, copy.src)
-            else:
-                nodes = self.nodes
-                overhearers = self.topology.neighbors(sender_id, self.active_range)
-                pcts = [nodes[o].pct for o in overhearers if nodes[o].alive]
-                pct_observe(pcts, ((sender_id, copy.src, SINK),))
+            # feeds the path construction table of the reliable classes.
+            pct_observe(self.pct, sender_id, copy.src)
         received = receiver.alive and self._debit(receiver, self._rx_cost)
         if not received:
             copy.failures_seen += 1
@@ -996,37 +960,6 @@ class Simulation:
                 kind = "dropped"
                 detail = f"copy={copy.copy_index} reason={reason}"
             self._trace(kind, copy.src, SINK, 0, detail)
-
-    # ------------------------------------------------------------------
-    # path construction tables
-
-    def pct(self, node_id: int) -> Pct:
-        """Node ``node_id``'s PCT as it stands now, or, for a dead node, as it
-        stood when the node died.
-
-        When rows go to the log, the table is filled on read: the node
-        replays, in log order, the replies its neighbours sent and its own
-        dispatch first hops since its last read, up to now or to its death.
-        Nodes never revive, so an alive node was alive for every entry it
-        replays, and every table gets exactly the rows an overhearer alive
-        at each reply would have recorded, in the same order.
-        """
-        node = self.nodes[node_id]
-        start = self._replayed.get(node_id, 0)
-        stop = len(self._log_src) if node.alive else self._died_at.get(node_id, 0)
-        if start >= stop:
-            return node.pct
-        nbrs = self.topology.neighbors(node_id, self.active_range)
-        found: list[int] = []
-        for log in filter(None, map(self._heard.get, (*nbrs, ~node_id))):
-            if log[-1] >= start:
-                found += log[bisect_left(log, start) :]
-        found.sort()
-        del found[bisect_left(found, stop) :]
-        fwd, src = self._log_fwd, self._log_src
-        pct_observe((node.pct,), [(fwd[p], src[p], SINK) for p in found])
-        self._replayed[node_id] = stop
-        return node.pct
 
     # ------------------------------------------------------------------
     # public primitives

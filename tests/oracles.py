@@ -120,10 +120,20 @@ def oracle_paths_delay_reliable(fit, queues):
     return primary, alternates
 
 
-def oracle_next_hop_reliable(fit, pct_rows, src, dst, excluded=frozenset()):
+def node_pct_rows(fit, heard, own):
+    """The ``(forwarder, src)`` rows the selecting node's own table would
+    hold: every overheard pair, and the ``(node, forwarder, src)`` rows that
+    name this node; other nodes' own rows are not its business."""
+    rows = list(heard)
+    for node, forwarder, src in own:
+        if node == fit.self_id:
+            rows.append((forwarder, src))
+    return rows
+
+
+def oracle_next_hop_reliable(fit, pct_rows, src, excluded=frozenset()):
     """Step list: least-hop candidate; blocked when the table has a row
-    naming it for this very pair; excluded rows for other pairs do not
-    block."""
+    naming it for this very source; rows for other sources do not block."""
     live = {n: e for n, e in fit.entries.items() if n not in excluded}
     while live:
         best = None
@@ -132,7 +142,7 @@ def oracle_next_hop_reliable(fit, pct_rows, src, dst, excluded=frozenset()):
                 best = cand
         blocked = False
         for row in pct_rows:
-            if row == (best.neighbor, src, dst):
+            if row == (best.neighbor, src):
                 blocked = True
         if blocked:
             del live[best.neighbor]
@@ -141,9 +151,7 @@ def oracle_next_hop_reliable(fit, pct_rows, src, dst, excluded=frozenset()):
     return None
 
 
-def oracle_next_hop_delay_reliable(
-    fit, queues, pct_rows, src, dst, excluded=frozenset()
-):
+def oracle_next_hop_delay_reliable(fit, queues, pct_rows, src, excluded=frozenset()):
     live = {n: e for n, e in fit.entries.items() if n not in excluded}
     while live:
         best = None
@@ -154,26 +162,20 @@ def oracle_next_hop_delay_reliable(
                 best.neighbor,
             ):
                 best = cand
-        if (best.neighbor, src, dst) in pct_rows:
+        if (best.neighbor, src) in pct_rows:
             del live[best.neighbor]
             continue
         return best.neighbor
     return None
 
 
-def reference_pct_observe(rows, overheard_forwarder, src, dst, capacity):
-    """Value-semantics path table: a new tuple of rows per new row.
-
-    Duplicates leave the rows unchanged; past ``capacity`` only the newest
-    ``capacity`` rows are kept.
-    """
-    row = (overheard_forwarder, src, dst)
+def reference_pct_observe(rows, forwarder, src):
+    """Value-semantics path table of one node: a new tuple of
+    ``(forwarder, src)`` rows per new row; duplicates leave it unchanged."""
+    row = (forwarder, src)
     if row in rows:
         return rows
-    rows = rows + (row,)
-    if len(rows) > capacity:
-        rows = rows[len(rows) - capacity :]
-    return rows
+    return rows + (row,)
 
 
 def enumerate_tables(max_size, hop_values, energy_values, queue_values, forwarder_pools):
@@ -207,19 +209,30 @@ def enumerate_tables(max_size, hop_values, energy_values, queue_values, forwarde
         yield from expand(0, [], {})
 
 
-def all_pct_row_sets(ids, src, dst, other_src, max_rows=2):
-    """Small universe of path-table row sets touching the given ids."""
-    universe = [(i, src, dst) for i in ids] + [(i, other_src, dst) for i in ids]
-    yield ()
-    for k in range(1, max_rows + 1):
+def all_pct_row_sets(ids, node, other_node, src, other_src, max_rows=2):
+    """Small universe of round tables touching the given ids, as
+    ``(heard, own)`` row tuples: per id, the overheard pair and ``node``'s
+    own row for ``src``, which both block, and ``other_node``'s own row for
+    ``src``, which does not; for the least id also the overheard pair and
+    ``node``'s own row for ``other_src``, which do not block either."""
+    universe = [("heard", (ids[0], other_src)), ("own", (node, ids[0], other_src))]
+    for i in ids:
+        universe += [
+            ("heard", (i, src)),
+            ("own", (node, i, src)),
+            ("own", (other_node, i, src)),
+        ]
+    for k in range(max_rows + 1):
         for combo in combinations(universe, k):
-            yield combo
+            heard = tuple(row for part, row in combo if part == "heard")
+            own = tuple(row for part, row in combo if part == "own")
+            yield heard, own
 
 
 # ---------------------------------------------------------------------------
 # exhaustive equivalence drivers (shared by the unit and acceptance suites)
 
-_SRC, _DST, _OTHER = 77, 0, 78
+_SRC, _OTHER = 77, 78
 
 
 def check_next_hop_normal_equivalence(max_size=4):
@@ -320,18 +333,23 @@ def check_pct_selector_equivalence(max_size=4):
         forwarder_pools=lambda nid, chosen: [()],
     ):
         ids = sorted(fit.entries)
-        for rows in all_pct_row_sets(ids, _SRC, _DST, _OTHER):
+        other_node = ids[0]  # a neighbour's own rows are not this node's
+        for heard, own in all_pct_row_sets(ids, fit.self_id, other_node, _SRC, _OTHER):
             pct = Pct()
-            pct_observe((pct,), rows)
-            got, _ = next_hop_reliable(fit, pct, _SRC, _DST)
-            expected = oracle_next_hop_reliable(fit, rows, _SRC, _DST)
-            assert (got.next_hop if got else None) == expected, (fit, rows)
+            for forwarder, src in heard:
+                pct_observe(pct, forwarder, src)
+            for node, forwarder, src in own:
+                pct_observe(pct, forwarder, src, node)
+            rows = node_pct_rows(fit, heard, own)
+            got, _ = next_hop_reliable(fit, pct, _SRC)
+            expected = oracle_next_hop_reliable(fit, rows, _SRC)
+            assert (got.next_hop if got else None) == expected, (fit, heard, own)
             got, _ = next_hop_delay_reliable_intermediate(
-                fit, pct, _SRC, _DST, wait=queues.__getitem__
+                fit, pct, _SRC, wait=queues.__getitem__
             )
-            expected = oracle_next_hop_delay_reliable(fit, queues, rows, _SRC, _DST)
-            assert (got.next_hop if got else None) == expected, (fit, queues, rows)
+            expected = oracle_next_hop_delay_reliable(fit, queues, rows, _SRC)
+            assert (got.next_hop if got else None) == expected, (fit, heard, own)
             # selectors only read the table
-            assert tuple(pct.rows) == rows, (fit, rows)
+            assert (pct.heard, pct.own) == (set(heard), set(own)), (fit, heard, own)
             count += 1
     return count

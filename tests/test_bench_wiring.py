@@ -104,6 +104,6 @@ def test_pair_selector_returns_decision_first(name):
     kwargs = {}
     if "wait" in inspect.signature(selector).parameters:
         kwargs["wait"] = lambda node_id: 0
-    result = selector(fit_bootstrap(1), Pct(), 1, qwsn.sim.SINK, **kwargs)
+    result = selector(fit_bootstrap(1), Pct(), 1, **kwargs)
     assert isinstance(result, tuple) and len(result) == 2
     assert result[0] is None

@@ -101,9 +101,9 @@ COMMAND_FILES = {
         "compare_n=24\ncompare_side=30\ncompare_e_init=0.01\n"
         "compare_fractions=0.0,0.2\nseeds=1\nbs_x=10\nbs_y=120\n",
         {
-            "fig8.tsv": "e65c9b1d22be32c440de9b156bc31a0d31e7c3ae1ce6e4d4690d94c763e91d0a",
+            "fig8.tsv": "d63d9ebd516cf84bbec38c0663e639b50878c4ea985efaec01d13d7696b11873",
             "pegasis_comparison.csv": (
-                "1c26a8e39a8a96018598fc454dfe99d133cb0ebb617f5f58d3492bb526104d1d"
+                "9b918507bac9d8e9034d1f5a01f98e6ef412eb9cc79028531c8b6d8ec9313319"
             ),
         },
     ),

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    all_pct_row_sets,
     entry,
     enumerate_tables,
     make_fit,
@@ -18,10 +17,8 @@ from oracles import (
     oracle_next_hop_reliable,
     oracle_paths_delay_reliable,
     oracle_primary_reliable,
-    reference_pct_observe,
 )
 from qwsn.routing import (
-    PCT_CAPACITY,
     Pct,
     Rationale,
     alternates_reliable,
@@ -35,13 +32,15 @@ from qwsn.routing import (
     remove_failed,
 )
 
-SRC, DST, OTHER = 77, 0, 78
+SRC, OTHER = 77, 78
 
 
 def observed(*rows):
-    """A fresh PCT holding ``rows``, each recorded through ``pct_observe``."""
+    """A fresh PCT holding the overheard ``(forwarder, src)`` pairs ``rows``,
+    each recorded through ``pct_observe``."""
     pct = Pct()
-    pct_observe((pct,), rows)
+    for forwarder, src in rows:
+        pct_observe(pct, forwarder, src)
     return pct
 
 
@@ -150,116 +149,49 @@ class TestAlternatesReliable:
 
 class TestPct:
     def test_insert(self):
-        pct = observed((5, SRC, DST))
-        assert tuple(pct.rows) == ((5, SRC, DST),)
+        pct = observed((5, SRC))
+        pct_observe(pct, 6, SRC, 3)
+        assert pct.heard == {(5, SRC)}
+        assert pct.own == {(3, 6, SRC)}
 
     def test_duplicate_is_noop(self):
-        pct = observed((5, SRC, DST), (6, SRC, DST), (5, SRC, DST))
-        assert tuple(pct.rows) == ((5, SRC, DST), (6, SRC, DST))
-
-    def test_fifo_eviction_at_capacity(self):
-        pct = Pct()
-        for i in range(PCT_CAPACITY + 1):
-            pct_observe((pct,), [(i, SRC, DST)])
-        rows = tuple(pct.rows)
-        assert len(rows) == PCT_CAPACITY
-        assert rows[0] == (1, SRC, DST)  # row 0 evicted
-        assert rows[-1] == (PCT_CAPACITY, SRC, DST)
+        pct = observed((5, SRC), (6, SRC), (5, SRC))
+        assert pct.heard == {(5, SRC), (6, SRC)}
 
     def test_rows_unique(self):
         pct = Pct()
         for _ in range(5):
-            pct_observe((pct,), [(1, SRC, DST)])
-        assert len(pct.rows) == 1
-
-    @given(
-        capacity=st.sampled_from([1, 3, PCT_CAPACITY]),
-        steps=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=47),
-                st.integers(min_value=0, max_value=2),
-                st.integers(min_value=0, max_value=1),
-            ),
-            min_size=2 * PCT_CAPACITY,
-            max_size=160,
-        ),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_in_place_matches_tuple_reference(self, capacity, steps):
-        # at least 128 steps over 288 possible rows: rows repeat, and the
-        # distinct ones usually outnumber even the default capacity
-        pct = Pct(capacity=capacity)
-        reference = ()
-        for node_id, src, dst in steps:
-            pct_observe((pct,), [(node_id, src, dst)])
-            reference = reference_pct_observe(reference, node_id, src, dst, capacity)
-            assert tuple(pct.rows) == reference
-
-    @given(
-        capacities=st.lists(
-            st.sampled_from([1, 3, PCT_CAPACITY]), min_size=1, max_size=4
-        ),
-        steps=st.lists(
-            st.tuples(
-                st.lists(st.booleans(), min_size=4, max_size=4),
-                st.lists(
-                    st.tuples(
-                        st.integers(min_value=0, max_value=47),
-                        st.integers(min_value=0, max_value=2),
-                        st.integers(min_value=0, max_value=1),
-                    ),
-                    max_size=4,
-                ),
-            ),
-            min_size=PCT_CAPACITY,
-            max_size=100,
-        ),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_many_tables_match_tuple_reference(self, capacities, steps):
-        # each step records a batch of rows in a subset of the tables, as one
-        # overheard reply does in the tables already read or one replay does
-        # in one table, so the tables drift apart
-        pcts = [Pct(capacity=c) for c in capacities]
-        references = [()] * len(pcts)
-        for chosen, rows in steps:
-            picked = [i for i in range(len(pcts)) if chosen[i]]
-            pct_observe([pcts[i] for i in picked], rows)
-            for i in picked:
-                for row in rows:
-                    references[i] = reference_pct_observe(
-                        references[i], *row, capacities[i]
-                    )
-            assert [tuple(p.rows) for p in pcts] == references
+            pct_observe(pct, 1, SRC, 3)
+        assert len(pct.own) == 1
 
 
 class TestNextHopReliable:
     def test_empty_pct_takes_least_hop(self):
         fit = make_fit([entry(1, hop=1), entry(2, hop=2)])
         empty = Pct()
-        decision, pct = next_hop_reliable(fit, empty, SRC, DST)
+        decision, pct = next_hop_reliable(fit, empty, SRC)
         assert decision.next_hop == 1
         # the selector only reads the table; the engine records the pick
         assert pct is empty
-        assert not pct.rows
+        assert not pct.heard and not pct.own
 
     def test_blocked_for_same_pair(self):
         fit = make_fit([entry(1, hop=1), entry(2, hop=2)])
-        pct = observed((1, SRC, DST))
-        decision, _ = next_hop_reliable(fit, pct, SRC, DST)
+        pct = observed((1, SRC))
+        decision, _ = next_hop_reliable(fit, pct, SRC)
         assert decision.next_hop == 2
         assert decision.rationale is Rationale.ALTERNATE_RELIABLE
 
     def test_rows_for_other_pairs_do_not_block(self):
         fit = make_fit([entry(1, hop=1), entry(2, hop=2)])
-        pct = observed((1, OTHER, DST))
-        decision, _ = next_hop_reliable(fit, pct, SRC, DST)
+        pct = observed((1, OTHER))
+        decision, _ = next_hop_reliable(fit, pct, SRC)
         assert decision.next_hop == 1
 
     def test_exhaustion_returns_no_route(self):
         fit = make_fit([entry(1, hop=1)])
-        pct = observed((1, SRC, DST))
-        decision, out = next_hop_reliable(fit, pct, SRC, DST)
+        pct = observed((1, SRC))
+        decision, out = next_hop_reliable(fit, pct, SRC)
         assert decision is None
         assert out is pct
 
@@ -268,11 +200,11 @@ class TestNextHopReliable:
         fit = make_fit([entry(1, hop=1), entry(2, hop=2)])
         cases = [
             (Pct(), 1),
-            (observed((1, SRC, DST)), 2),
-            (observed((1, OTHER, DST)), 1),
+            (observed((1, SRC)), 2),
+            (observed((1, OTHER)), 1),
         ]
         for pct, expected in cases:
-            decision, _ = next_hop_reliable(fit, pct, SRC, DST)
+            decision, _ = next_hop_reliable(fit, pct, SRC)
             assert decision.next_hop == expected
 
 
@@ -356,24 +288,24 @@ class TestDelayReliableIntermediate:
     def test_least_wait_ignores_hop_rank(self):
         fit = make_fit([entry(1, hop=2), entry(2, hop=1)])
         decision, _ = next_hop_delay_reliable_intermediate(
-            fit, Pct(), SRC, DST, wait=waits({1: 1, 2: 5})
+            fit, Pct(), SRC, wait=waits({1: 1, 2: 5})
         )
         assert decision.next_hop == 1
 
     def test_blocked_least_wait_falls_to_next(self):
         fit = make_fit([entry(1, hop=2), entry(2, hop=1)])
-        pct = observed((1, SRC, DST))
+        pct = observed((1, SRC))
         decision, _ = next_hop_delay_reliable_intermediate(
-            fit, pct, SRC, DST, wait=waits({1: 1, 2: 5})
+            fit, pct, SRC, wait=waits({1: 1, 2: 5})
         )
         assert decision.next_hop == 2
         assert decision.rationale is Rationale.ALTERNATE_RELIABLE
 
     def test_all_blocked_is_no_route(self):
         fit = make_fit([entry(1, hop=1), entry(2, hop=1)])
-        pct = observed((1, SRC, DST), (2, SRC, DST))
+        pct = observed((1, SRC), (2, SRC))
         decision, _ = next_hop_delay_reliable_intermediate(
-            fit, pct, SRC, DST, wait=waits({1: 0, 2: 0})
+            fit, pct, SRC, wait=waits({1: 0, 2: 0})
         )
         assert decision is None
 
@@ -399,7 +331,7 @@ class TestRemoveFailed:
         decision = next_hop_normal(pruned)
         if decision is not None:
             assert decision.next_hop != victim
-        decision, _ = next_hop_reliable(pruned, Pct(), SRC, DST)
+        decision, _ = next_hop_reliable(pruned, Pct(), SRC)
         if decision is not None:
             assert decision.next_hop != victim
 

@@ -13,9 +13,8 @@ import qwsn.sim
 from oracles import reference_pct_observe
 from qwsn.protocol import HOP_INF, QosClass
 from qwsn.routing import (
-    PCT_CAPACITY,
-    Pct,
     Rationale,
+    _pct_blocks,
     next_hop_delay_reliable_intermediate,
     next_hop_reliable,
 )
@@ -396,55 +395,59 @@ class TestOverhearing:
         assert not relay.alive
         assert ("node_died", 3) in {(t[1], t[2]) for t in sim._trace_lines}
         # while alive it overheard node 4's first copy
-        assert (4, 4, SINK) in sim.pct(3).rows
+        assert _pct_blocks(sim.pct, 3, 4, 4)
         mark = len(sim._trace_lines)
         sim.deliver_replies([2])
         senders = {t[2] for t in sim._trace_lines[mark:] if t[1] == "unicast"}
         assert senders
+        # each sent reply is one row, which every alive neighbour reads
+        assert sim.pct.heard == {(sender, 2) for sender in senders}
         for sender in senders:
             for nbr in topology.neighbors(sender, cfg.short_range):
-                recorded = (sender, 2, SINK) in sim.pct(nbr).rows
-                assert recorded is sim.nodes[nbr].alive, (sender, nbr)
-        assert all(src != 2 for _, src, _ in sim.pct(3).rows)
+                if sim.nodes[nbr].alive:
+                    assert _pct_blocks(sim.pct, nbr, sender, 2), (sender, nbr)
+        # the dead relay neither sends nor picks, so no row of this round
+        # names it
+        assert 3 not in senders
+        assert all(node != 3 for node, _, _ in sim.pct.own)
 
 
 def check_pct_writes(sim):
     """Check every PCT write of the reliable classes' own decisions.
 
-    After a routing decision the deciding node's PCT must be the table it
-    had before plus the committed pick, and after a dispatch the source's
-    table must be the one it had plus each first hop, in path order.
-    Returns the rationales of the checked decisions.
+    A routing decision must add exactly the deciding node's row for the
+    committed pick, and a dispatch exactly the source's row for each first
+    hop; neither writes an overheard row.  Returns the rationales of the
+    checked decisions.
     """
     rationales = []
     route, dispatch = sim._route, sim._dispatch_source
 
-    def recorded(rows, picks, src, capacity):
-        for pick in picks:
-            rows = reference_pct_observe(rows, pick, src, SINK, capacity)
-        return rows
+    def check(call, rows):
+        own, heard = set(sim.pct.own), set(sim.pct.heard)
+        result = call()
+        assert sim.pct.own == own | rows(result)
+        assert sim.pct.heard == heard
+        return result
 
     def checked_route(node, copy):
-        pct = sim.pct(node.id)
-        before = tuple(pct.rows)
-        decision = route(node, copy)
-        picks = [decision.next_hop] if decision is not None else []
-        assert tuple(sim.pct(node.id).rows) == recorded(
-            before, picks, copy.src, pct.capacity
-        )
+        def picks(decision):
+            return {(node.id, decision.next_hop, copy.src)} if decision else set()
+
+        decision = check(lambda: route(node, copy), picks)
         if decision is not None:
             rationales.append(decision.rationale)
         return decision
 
     def checked_dispatch(src_id):
-        pct = sim.pct(src_id)
-        before = tuple(pct.rows)
-        copies = dispatch(src_id)
-        firsts = [c.forced_next for c in copies if c.forced_next is not None]
-        assert tuple(sim.pct(src_id).rows) == recorded(
-            before, firsts, src_id, pct.capacity
-        )
-        return copies
+        def firsts(copies):
+            return {
+                (src_id, c.forced_next, src_id)
+                for c in copies
+                if c.forced_next is not None
+            }
+
+        return check(lambda: dispatch(src_id), firsts)
 
     sim._route = checked_route
     sim._dispatch_source = checked_dispatch
@@ -452,7 +455,7 @@ def check_pct_writes(sim):
 
 
 class TestPctWrites:
-    """The engine records each reliable-class pick in the picking node's PCT."""
+    """The engine records each reliable-class pick as the picking node's row."""
 
     def test_stage_one_and_tarry_steps_record_their_pick(self):
         sim = pocket_simulation()
@@ -482,33 +485,34 @@ class TestPctWrites:
         check_pct_writes(sim)
         copies = sim.deliver_replies([3])
         assert {c.path[1] for c in copies} == {1, 2}
-        assert {(1, 3, SINK), (2, 3, SINK)} <= set(sim.pct(3).rows)
+        assert {(3, 1, 3), (3, 2, 3)} <= sim.pct.own
 
 
 def shadow_pcts(sim, monkeypatch):
-    """Record the eager PCT rule beside ``sim`` and check the tables it reads.
+    """Run the eager PCT rule, scoped to the reply round, beside ``sim``.
 
-    The shadow writes, through ``oracles.reference_pct_observe``, each
-    overheard reply into the table of every neighbour of its sender that is
-    alive at the arrival, each dispatch's first hops into the source's table
-    and each committed pick into the picking node's table.  Every table a
-    PCT-checked selector receives must equal the shadow's at that moment.
-    Returns the shadow tables, the number of new rows each took and a list
-    that counts the checked reads.
+    The shadow keeps one table per node and empties them all when a
+    ``deliver_replies`` call starts.  Through ``oracles.reference_pct_observe``
+    it writes each reply into the table of every neighbour of its sender
+    that is alive at the arrival, each dispatch's first hops into the
+    source's table and each committed pick into the picking node's table.
+    At every read of a PCT-checked selector by node ``v``, the engine's
+    ``_pct_blocks`` must answer, for each candidate in ``v``'s FIT, what
+    ``v``'s shadow table holds.  Returns a list of the checked reads and a
+    list of the candidates found blocked.
     """
     shadow = [()] * sim.config.n
-    added = [0] * sim.config.n
-    reads = []
+    reads, blocked = [], []
 
     def record(node_id, forwarder, src):
-        rows = reference_pct_observe(
-            shadow[node_id], forwarder, src, SINK, PCT_CAPACITY
-        )
-        if rows is not shadow[node_id]:
-            added[node_id] += 1
-            shadow[node_id] = rows
+        shadow[node_id] = reference_pct_observe(shadow[node_id], forwarder, src)
 
+    deliver = sim.deliver_replies
     arrive, dispatch, route = sim._on_unicast_arrive, sim._dispatch_source, sim._route
+
+    def shadow_deliver(sources=None):
+        shadow[:] = [()] * sim.config.n
+        return deliver(sources)
 
     def shadow_arrive(receiver_id, data):
         sender_id, copy, _ = data
@@ -519,10 +523,7 @@ def shadow_pcts(sim, monkeypatch):
 
     def shadow_dispatch(src_id):
         copies = dispatch(src_id)
-        # copy k rides first hop k % len(firsts), so the first hops are the
-        # distinct forced hops in copy order
-        firsts = [c.forced_next for c in copies if c.forced_next is not None]
-        for first in dict.fromkeys(firsts):
+        for first in {c.forced_next for c in copies if c.forced_next is not None}:
             record(src_id, first, src_id)
         return copies
 
@@ -533,13 +534,19 @@ def shadow_pcts(sim, monkeypatch):
         return decision
 
     def checked(select):
-        def wrapper(fit, pct, *args, **kwargs):
-            assert tuple(pct.rows) == shadow[fit.self_id], fit.self_id
-            reads.append(fit.self_id)
-            return select(fit, pct, *args, **kwargs)
+        def wrapper(fit, pct, src, *args, **kwargs):
+            v = fit.self_id
+            for n in sim.nodes[v].fit.entries:
+                expected = (n, src) in shadow[v]
+                assert _pct_blocks(pct, v, n, src) is expected, (v, n, src)
+                if expected:
+                    blocked.append((v, n, src))
+            reads.append(v)
+            return select(fit, pct, src, *args, **kwargs)
 
         return wrapper
 
+    sim.deliver_replies = shadow_deliver
     sim._on_unicast_arrive = shadow_arrive
     sim._dispatch_source = shadow_dispatch
     sim._route = shadow_route
@@ -549,35 +556,65 @@ def shadow_pcts(sim, monkeypatch):
         "next_hop_delay_reliable_intermediate",
         checked(next_hop_delay_reliable_intermediate),
     )
-    return shadow, added, reads
+    return reads, blocked
 
 
-class TestPctReplay:
-    """Every table holds exactly what recording each row as it is overheard
-    would write, whether rows go straight into the tables or to the log."""
+def star_relay_simulation():
+    """A flooded reliable-class run where source 4's only neighbour is relay
+    1, which hears the sink and two other one-hop relays, 2 and 3."""
+    positions = np.array(
+        [[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [10.0, -10.0], [22.0, 0.0]]
+    )
+    cfg = line_config(n=5)
+    sim = Simulation(cfg, QosClass.RELIABLE, topology=Topology(positions))
+    sim.run_flood(0)
+    assert [sim.nodes[i].fit.self_hop for i in range(5)] == [0, 1, 1, 1, 2]
+    return sim
 
-    @pytest.mark.parametrize("replay", [False, True])
+
+class TestPctRound:
+    """Path construction rows live for one reply round."""
+
+    def test_later_copies_of_a_round_avoid_the_relays_earlier_picks(self):
+        sim = star_relay_simulation()
+        batch = sim.deliver_replies([4])
+        assert [c.path for c in batch] == [
+            [4, 1, SINK],
+            [4, 1, 2, SINK],
+            [4, 1, 3, SINK],
+        ]
+        assert not any(c.fallback_used for c in batch)
+
+    def test_a_relay_takes_the_sink_again_next_round(self):
+        # a row from the first round must not block the sink in the second
+        sim = star_relay_simulation()
+        first = sim.deliver_replies([4])
+        second = sim.deliver_replies([4])
+        assert second[0].path == [4, 1, SINK]
+        assert [c.path for c in second] == [c.path for c in first]
+        assert not any(c.fallback_used for c in second)
+
     @pytest.mark.parametrize("qos", [QosClass.RELIABLE, QosClass.DELAY_RELIABLE])
-    def test_tables_match_eager_recording(self, qos, replay, monkeypatch):
-        reads = 0
+    def test_blocks_match_eager_rule_per_round(self, qos, monkeypatch):
+        reads, blocked = 0, 0
         for n in (50, 100):
             for failure in (0.0, 0.2):
                 for seed in range(4):
                     cfg = SimConfig(n=n, seed=seed, failure_fraction=failure)
                     sim = Simulation(cfg, qos)
-                    # multi-hop, so rows go straight into the tables unless
-                    # the log is forced
-                    assert not sim._replay
-                    sim._replay = replay
                     sim.run_flood(0)
-                    shadow, _, checked = shadow_pcts(sim, monkeypatch)
+                    checked, found = shadow_pcts(sim, monkeypatch)
                     sim.inject_failures()
+                    # the same sources answer a second query: rows of the
+                    # first round must not block in the second
                     sim.deliver_replies()
-                    assert [tuple(sim.pct(i).rows) for i in range(n)] == shadow
+                    sim.deliver_replies()
                     reads += len(checked)
+                    blocked += len(found)
         assert reads > 100
+        assert blocked > 0
 
-    def test_single_hop_run_with_evictions_and_deaths(self, monkeypatch):
+    def test_single_hop_rounds_with_deaths(self, monkeypatch):
         # every node hears every reply; small batteries kill nodes while
         # their neighbours keep sending
         cfg = SimConfig(
@@ -589,25 +626,23 @@ class TestPctReplay:
             seed=1,
         )
         sim = Simulation(cfg, QosClass.DELAY_RELIABLE)
-        assert sim._replay
         sim.run_flood(0)
-        shadow, added, reads = shadow_pcts(sim, monkeypatch)
+        reads, blocked = shadow_pcts(sim, monkeypatch)
         sim.inject_failures()
         alive = {node.id for node in sim.nodes if node.alive}
         for round_index in range(60):
             sim.run_reply_round(round_index)
         died = alive - {node.id for node in sim.nodes if node.alive}
         assert died, "no node died during the replies"
-        assert max(added) > PCT_CAPACITY
         assert reads
-        assert [tuple(sim.pct(i).rows) for i in range(cfg.n)] == shadow
+        assert blocked
 
 
 class TestWaitingTime:
     """The selectors estimate a node's waiting time by its ``queue_len``."""
 
     def _node(self):
-        return NodeState(id=1, energy=1.0, fit=fit_bootstrap(1), pct=Pct())
+        return NodeState(id=1, energy=1.0, fit=fit_bootstrap(1))
 
     def test_empty_queue_is_zero(self):
         assert self._node().queue_len == 0
