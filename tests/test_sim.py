@@ -594,26 +594,6 @@ class TestPctRound:
         assert [c.path for c in second] == [c.path for c in first]
         assert not any(c.fallback_used for c in second)
 
-    @pytest.mark.parametrize("qos", [QosClass.RELIABLE, QosClass.DELAY_RELIABLE])
-    def test_blocks_match_eager_rule_per_round(self, qos, monkeypatch):
-        reads, blocked = 0, 0
-        for n in (50, 100):
-            for failure in (0.0, 0.2):
-                for seed in range(4):
-                    cfg = SimConfig(n=n, seed=seed, failure_fraction=failure)
-                    sim = Simulation(cfg, qos)
-                    sim.run_flood(0)
-                    checked, found = shadow_pcts(sim, monkeypatch)
-                    sim.inject_failures()
-                    # the same sources answer a second query: rows of the
-                    # first round must not block in the second
-                    sim.deliver_replies()
-                    sim.deliver_replies()
-                    reads += len(checked)
-                    blocked += len(found)
-        assert reads > 100
-        assert blocked > 0
-
     def test_single_hop_rounds_with_deaths(self, monkeypatch):
         # every node hears every reply; small batteries kill nodes while
         # their neighbours keep sending
@@ -636,6 +616,34 @@ class TestPctRound:
         assert died, "no node died during the replies"
         assert reads
         assert blocked
+
+
+class TestPctReplay:
+    """Every PCT-checked read blocks what eager recording, scoped to the
+    reply round, would block, whether the sources answer one query or the
+    same sources answer a second one."""
+
+    @pytest.mark.parametrize("again", [False, True])
+    @pytest.mark.parametrize("qos", [QosClass.RELIABLE, QosClass.DELAY_RELIABLE])
+    def test_tables_match_eager_recording(self, qos, again, monkeypatch):
+        reads, blocked = 0, 0
+        for n in (50, 100):
+            for failure in (0.0, 0.2):
+                for seed in range(4):
+                    cfg = SimConfig(n=n, seed=seed, failure_fraction=failure)
+                    sim = Simulation(cfg, qos)
+                    sim.run_flood(0)
+                    checked, found = shadow_pcts(sim, monkeypatch)
+                    sim.inject_failures()
+                    sim.deliver_replies()
+                    if again:
+                        # rows of the first round must not block in the
+                        # second
+                        sim.deliver_replies()
+                    reads += len(checked)
+                    blocked += len(found)
+        assert reads > 100
+        assert blocked > 0
 
 
 class TestWaitingTime:
