@@ -9,7 +9,9 @@ neighbours overhear, the first hops of a dispatch and the pick a node
 commits to, since choosing a forwarder puts it on the path for that
 source.  The wait-ranked selectors of the delay-sensitive classes take a
 lookup ``wait(node_id)`` that returns a neighbour's current transmit-queue
-length; the table stores no queue lengths.
+length; the table stores no queue lengths.  The PCT-checked selectors of
+the reliable classes also hold the sink-ward rule: they never pick a
+neighbour farther from the sink than the selecting node.
 
 Tie-breaking is deterministic throughout: candidates compare by
 ``(ranking key..., hop, node id)`` so identical tables always yield
@@ -87,17 +89,13 @@ class RouteDecision:
     rationale: Rationale
 
 
-def _by_hop_id(entry: FitEntry) -> tuple[int, int]:
-    return (entry.hop, entry.neighbor)
-
-
 def _by_energy_hop_id(entry: FitEntry) -> tuple[float, int, int]:
     # Max energy first; hop then id break exact energy ties so that equally
     # charged neighbours resolve toward the sink.
     return (-entry.energy, entry.hop, entry.neighbor)
 
 
-def _by_wait_hop_id(wait: Wait) -> Callable[[FitEntry], tuple[int, int, int]]:
+def by_wait_hop_id(wait: Wait) -> Callable[[FitEntry], tuple[int, int, int]]:
     # Queue length orders waiting time for a fixed per-packet service time.
     return lambda entry: (wait(entry.neighbor), entry.hop, entry.neighbor)
 
@@ -164,7 +162,7 @@ def next_hop_delay(
     shortlist = _hop_shortlist(fit, excluded)
     if not shortlist:
         return None
-    pick = min(shortlist, key=_by_wait_hop_id(wait))
+    pick = min(shortlist, key=by_wait_hop_id(wait))
     return RouteDecision(pick.neighbor, Rationale.MIN_WAIT)
 
 
@@ -179,7 +177,7 @@ def paths_delay_reliable(fit: Fit, wait: Wait) -> tuple[int, ...] | None:
     shortlist = _hop_shortlist(fit, frozenset())
     if not shortlist:
         return None
-    rank = _by_wait_hop_id(wait)
+    rank = by_wait_hop_id(wait)
     primary = min(shortlist, key=rank)
     rest = [e for e in shortlist if e.neighbor != primary.neighbor]
     if not rest:
@@ -193,37 +191,38 @@ def _next_hop_pct_checked(
     src: int,
     excluded: frozenset[int] | set[int] = frozenset(),
     *,
-    rank: Callable[[FitEntry], tuple],
+    rank: Callable[[FitEntry], tuple] | None,
     first: Rationale,
 ) -> tuple[RouteDecision | None, Pct]:
     """PCT-checked selection used at reliable-class intermediates.
 
-    The best-ranked neighbour is taken unless the PCT already places it on
-    the path of this very source, in which case it is excluded and the
-    search repeats; appearing on other sources' paths is fine.  The
-    pick's rationale is ``first`` if no neighbour was skipped, else
-    ``ALTERNATE_RELIABLE``.  The PCT is only read: the engine records the
-    pick once it commits to it.
+    Candidates are the rows not in ``excluded`` and not farther from the
+    sink than the selecting node: a detour that moves backward can trap a
+    copy in a leaf pocket.  The best-ranked candidate, by ``rank`` or else
+    in ``(hop, id)`` order, is taken unless the PCT already places it on the
+    path of this very source, in which case the next-best is tried;
+    appearing on other sources' paths is fine.  The pick's rationale is
+    ``first`` if no candidate was skipped, else ``ALTERNATE_RELIABLE``.  The
+    PCT is only read: the engine records the pick once it commits to it.
 
     Returns ``(decision, pct)`` with the given table unchanged, a shape the
     benchmark's tracer relies on (it reads the decision as ``result[0]``).
     """
-    remaining = {n: e for n, e in fit.entries.items() if n not in excluded}
-    skipped = False
-    while remaining:
-        pick = min(remaining.values(), key=rank)
-        if _pct_blocks(pct, fit.self_id, pick.neighbor, src):
-            del remaining[pick.neighbor]
-            skipped = True
-            continue
-        rationale = Rationale.ALTERNATE_RELIABLE if skipped else first
-        return RouteDecision(pick.neighbor, rationale), pct
+    self_hop = fit.self_hop
+    rows = [e for e in fit.by_hop if e.hop <= self_hop and e.neighbor not in excluded]
+    rationale = first
+    while rows:
+        pick = rows[0] if rank is None else min(rows, key=rank)
+        if not _pct_blocks(pct, fit.self_id, pick.neighbor, src):
+            return RouteDecision(pick.neighbor, rationale), pct
+        rows.remove(pick)
+        rationale = Rationale.ALTERNATE_RELIABLE
     return None, pct
 
 
 # Plain reliable class: least hop first; returns ``(decision, pct)``.
 next_hop_reliable = partial(
-    _next_hop_pct_checked, rank=_by_hop_id, first=Rationale.PRIMARY_RELIABLE
+    _next_hop_pct_checked, rank=None, first=Rationale.PRIMARY_RELIABLE
 )
 
 
@@ -237,7 +236,7 @@ def next_hop_delay_reliable_intermediate(
 ) -> tuple[RouteDecision | None, Pct]:
     """Hybrid class: least waiting time first; hop count and id break ties.
     Returns ``(decision, pct)`` like :func:`next_hop_reliable`."""
-    rank = _by_wait_hop_id(wait)
+    rank = by_wait_hop_id(wait)
     return _next_hop_pct_checked(
         fit, pct, src, excluded, rank=rank, first=Rationale.MIN_WAIT
     )

@@ -68,6 +68,7 @@ from .routing import (
     Rationale,
     RouteDecision,
     alternates_reliable,
+    by_wait_hop_id,
     next_hop_delay,
     next_hop_delay_reliable_intermediate,
     next_hop_normal,
@@ -741,9 +742,8 @@ class Simulation:
         copy's ``forwarded`` memory), which makes repair walks
         edge-self-avoiding and therefore finite.  Stage 1, for both classes,
         is disjoint and sink-ward: the PCT-checked selector over unused
-        edges, excluding the previous hop, the parent and candidates strictly
-        farther from the sink (a disjointness detour that moves backward can
-        trap a copy in a leaf pocket).
+        edges, excluding the previous hop and the parent.  The selector
+        itself excludes candidates strictly farther from the sink.
 
         Past stage 1 the plain reliable class runs Tarry's traversal
         (G. Tarry, 1895) over its whole table:
@@ -766,28 +766,17 @@ class Simulation:
         prev = copy.prev_hop
         parent = copy.parent.get(node.id)
         tried = copy.forwarded.get(node.id, set())
-        fit = (
-            node.fit if by_wait else prune_low_energy(node.fit, self.config.e_threshold)
-        )
-        self_hop = node.fit.self_hop
-        backward = {
-            n
-            for n, e in fit.entries.items()
-            if self_hop < HOP_INF and e.hop > self_hop
-        }
-        base = {n for n in (prev, parent) if n is not None}
-
-        excluded = frozenset(base | backward | tried)
+        excluded = {prev, parent, *tried}
         if by_wait:
             decision, _ = next_hop_delay_reliable_intermediate(
-                fit, self.pct, copy.src, excluded, wait=self._wait
+                node.fit, self.pct, copy.src, excluded, wait=self._wait
             )
+            if decision is None:
+                decision = self._reliable_fallback(node, prev, tried)
         else:
+            fit = prune_low_energy(node.fit, self.config.e_threshold)
             decision, _ = next_hop_reliable(fit, self.pct, copy.src, excluded)
-        if decision is None:
-            if by_wait:
-                decision = self._reliable_fallback(node, base, backward, tried)
-            else:
+            if decision is None:
                 decision = self._tarry_step(node, prev, parent, tried)
         if decision is not None:
             copy.forwarded.setdefault(node.id, set()).add(decision.next_hop)
@@ -799,37 +788,31 @@ class Simulation:
     ) -> RouteDecision | None:
         """Stages 2-4 of plain reliable forwarding: path disjointness and the
         energy threshold are best effort, delivery is the guarantee."""
-        entries = node.fit.entries
-        unused = [e for n, e in entries.items() if n not in tried]
-        forward = [e for e in unused if e.neighbor not in (prev, parent)]
-        if forward:
-            pick = min(forward, key=lambda e: (e.hop, e.neighbor)).neighbor
-            rationale = Rationale.FALLBACK
-        else:
-            backs = [n for n in (prev, parent) if n in entries and n not in tried]
-            if not backs:
-                return None
-            pick = backs[0]
-            rationale = Rationale.BACKTRACK
-        return RouteDecision(pick, rationale)
+        for e in node.fit.by_hop:
+            if e.neighbor not in tried and e.neighbor not in (prev, parent):
+                return RouteDecision(e.neighbor, Rationale.FALLBACK)
+        for back in (prev, parent):
+            if back in node.fit.entries and back not in tried:
+                return RouteDecision(back, Rationale.BACKTRACK)
+        return None
 
     def _reliable_fallback(
-        self, node: NodeState, base: set[int], backward: set[int], tried: set[int]
+        self, node: NodeState, prev: int | None, tried: set[int]
     ) -> RouteDecision | None:
         """Stages 2-4 of hybrid forwarding, by least wait: sink-ward past
         the disjointness wall (PCT ignored), then a backward escape around a
         failure hole one fresh edge at a time, then strictly sink-ward reuse,
         which cannot cycle because the hop count strictly decreases."""
-        wait = self._wait
-        rank = lambda e: (wait(e.neighbor), e.hop, e.neighbor)  # noqa: E731
-        entries = node.fit.entries
+        rank = by_wait_hop_id(self._wait)
         self_hop = node.fit.self_hop
+        rows = [e for e in node.fit.by_hop if e.neighbor != prev]
         pools = (
-            [e for n, e in entries.items() if n not in base | backward | tried],
-            [e for n, e in entries.items() if n not in base | tried],
-            [e for n, e in entries.items() if n not in base and e.hop < self_hop],
+            lambda e: e.hop <= self_hop and e.neighbor not in tried,
+            lambda e: e.neighbor not in tried,
+            lambda e: e.hop < self_hop,
         )
-        for pool in pools:
+        for admits in pools:
+            pool = [e for e in rows if admits(e)]
             if pool:
                 return RouteDecision(min(pool, key=rank).neighbor, Rationale.FALLBACK)
         return None

@@ -131,10 +131,20 @@ def node_pct_rows(fit, heard, own):
     return rows
 
 
+def _sink_ward(fit, excluded):
+    """The rows not in ``excluded`` whose hop count is at most the node's."""
+    live = {}
+    for n, e in fit.entries.items():
+        if n not in excluded and e.hop <= fit.self_hop:
+            live[n] = e
+    return live
+
+
 def oracle_next_hop_reliable(fit, pct_rows, src, excluded=frozenset()):
-    """Step list: least-hop candidate; blocked when the table has a row
-    naming it for this very source; rows for other sources do not block."""
-    live = {n: e for n, e in fit.entries.items() if n not in excluded}
+    """Step list: drop rows farther from the sink than the node; least-hop
+    candidate; blocked when the table has a row naming it for this very
+    source; rows for other sources do not block."""
+    live = _sink_ward(fit, excluded)
     while live:
         best = None
         for cand in live.values():
@@ -152,7 +162,8 @@ def oracle_next_hop_reliable(fit, pct_rows, src, excluded=frozenset()):
 
 
 def oracle_next_hop_delay_reliable(fit, queues, pct_rows, src, excluded=frozenset()):
-    live = {n: e for n, e in fit.entries.items() if n not in excluded}
+    """As :func:`oracle_next_hop_reliable`, least queue length first."""
+    live = _sink_ward(fit, excluded)
     while live:
         best = None
         for cand in live.values():
@@ -341,14 +352,22 @@ def check_pct_selector_equivalence(max_size=4):
             for node, forwarder, src in own:
                 pct_observe(pct, forwarder, src, node)
             rows = node_pct_rows(fit, heard, own)
-            got, _ = next_hop_reliable(fit, pct, _SRC)
-            expected = oracle_next_hop_reliable(fit, rows, _SRC)
-            assert (got.next_hop if got else None) == expected, (fit, heard, own)
-            got, _ = next_hop_delay_reliable_intermediate(
-                fit, pct, _SRC, wait=queues.__getitem__
-            )
-            expected = oracle_next_hop_delay_reliable(fit, queues, rows, _SRC)
-            assert (got.next_hop if got else None) == expected, (fit, heard, own)
+            # rows of hop 2 are farther from the sink than a node of hop 1
+            # and level with one of hop 2, and rows of hop 1 are closer
+            for self_hop in (1, 2):
+                fit.self_hop = self_hop
+                where = (fit, heard, own)
+                # queue lengths do not rank the plain class, so one
+                # assignment of them covers it
+                if not any(queues.values()):
+                    got, _ = next_hop_reliable(fit, pct, _SRC)
+                    expected = oracle_next_hop_reliable(fit, rows, _SRC)
+                    assert (got.next_hop if got else None) == expected, where
+                got, _ = next_hop_delay_reliable_intermediate(
+                    fit, pct, _SRC, wait=queues.__getitem__
+                )
+                expected = oracle_next_hop_delay_reliable(fit, queues, rows, _SRC)
+                assert (got.next_hop if got else None) == expected, where
             # selectors only read the table
             assert (pct.heard, pct.own) == (set(heard), set(own)), (fit, heard, own)
             count += 1

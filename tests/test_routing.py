@@ -21,6 +21,7 @@ from oracles import (
 from qwsn.routing import (
     Pct,
     Rationale,
+    RouteDecision,
     alternates_reliable,
     next_hop_delay,
     next_hop_delay_reliable_intermediate,
@@ -207,6 +208,14 @@ class TestNextHopReliable:
             decision, _ = next_hop_reliable(fit, pct, SRC)
             assert decision.next_hop == expected
 
+    def test_rows_farther_from_the_sink_are_never_picked(self):
+        # the node is two hops out: row 2 is level with it, row 3 farther
+        fit = make_fit([entry(1, hop=1), entry(2, hop=2), entry(3, hop=3)], self_hop=2)
+        decision, _ = next_hop_reliable(fit, observed((1, SRC)), SRC)
+        assert decision == RouteDecision(2, Rationale.ALTERNATE_RELIABLE)
+        decision, _ = next_hop_reliable(fit, observed((1, SRC), (2, SRC)), SRC)
+        assert decision is None
+
 
 def waits(queues):
     """The queue-length lookup the wait-ranked selectors take."""
@@ -306,6 +315,18 @@ class TestDelayReliableIntermediate:
         pct = observed((1, SRC), (2, SRC))
         decision, _ = next_hop_delay_reliable_intermediate(
             fit, pct, SRC, wait=waits({1: 0, 2: 0})
+        )
+        assert decision is None
+
+    def test_rows_farther_from_the_sink_are_never_picked(self):
+        # the node is two hops out: row 3 waits least but is farther, row 2
+        # is level with the node and waits less than row 1
+        fit = make_fit([entry(1, hop=1), entry(2, hop=2), entry(3, hop=3)], self_hop=2)
+        wait = waits({1: 4, 2: 2, 3: 0})
+        decision, _ = next_hop_delay_reliable_intermediate(fit, Pct(), SRC, wait=wait)
+        assert decision == RouteDecision(2, Rationale.MIN_WAIT)
+        decision, _ = next_hop_delay_reliable_intermediate(
+            fit, observed((1, SRC), (2, SRC)), SRC, wait=wait
         )
         assert decision is None
 

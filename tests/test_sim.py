@@ -14,6 +14,7 @@ from oracles import reference_pct_observe
 from qwsn.protocol import HOP_INF, QosClass
 from qwsn.routing import (
     Rationale,
+    RouteDecision,
     _pct_blocks,
     next_hop_delay_reliable_intermediate,
     next_hop_reliable,
@@ -486,6 +487,56 @@ class TestPctWrites:
         copies = sim.deliver_replies([3])
         assert {c.path[1] for c in copies} == {1, 2}
         assert {(3, 1, 3), (3, 2, 3)} <= sim.pct.own
+
+
+def ring_simulation(n):
+    """A flooded hybrid-class run on ``n`` nodes in a ring of radius 10 m,
+    where each node hears only its two ring neighbours, so node k sits
+    ``min(k, n - k)`` hops from the sink."""
+    angles = np.arange(n) * (2 * np.pi / n)
+    positions = 10.0 + 10.0 * np.column_stack([np.cos(angles), np.sin(angles)])
+    cfg = line_config(n=n, side=20.0, short_range=5.0, long_range=10.0)
+    sim = Simulation(cfg, QosClass.DELAY_RELIABLE, topology=Topology(positions))
+    sim.run_flood(0)
+    assert [node.fit.self_hop for node in sim.nodes] == [
+        min(k, n - k) for k in range(n)
+    ]
+    return sim
+
+
+class TestHybridFallback:
+    """The hybrid's stages past the disjointness wall, on rings."""
+
+    def test_backward_escape_from_a_first_hop_farther_than_the_source(self):
+        # source 2's shortlist is its two neighbours, so copy 1 is sent to
+        # 3, one hop farther from the sink; there the only other row is 4,
+        # farther still, and the escape to it leads round to the sink
+        sim = ring_simulation(8)
+        rationales = check_pct_writes(sim)
+        batch = sim.deliver_replies([2])
+        assert [c.path for c in batch] == [
+            [2, 1, SINK],
+            [2, 3, 4, 5, 6, 7, SINK],
+            [2, 1, SINK],
+        ]
+        assert all(c.delivered for c in batch)
+        assert batch[1].fallback_used
+        assert Rationale.FALLBACK in rationales
+
+    def test_strictly_sink_ward_reuse_once_every_other_edge_is_used(self):
+        # the walk never makes this state itself.  Node 3 of seven has 2
+        # one hop closer to the sink and 4 level with it: a copy from 4
+        # that has already used the edge to 2 may use it again
+        sim = ring_simulation(7)
+        node = sim.nodes[3]
+        copy = sim._new_copy(2, 0, 0, None, sim.now)
+        copy.prev_hop = 4
+        copy.forwarded[3] = {2}
+        assert sim._route(node, copy) == RouteDecision(2, Rationale.FALLBACK)
+        # but a copy from 2 may not use the edge to 4 again
+        copy.prev_hop = 2
+        copy.forwarded[3] = {4}
+        assert sim._route(node, copy) is None
 
 
 def shadow_pcts(sim, monkeypatch):
