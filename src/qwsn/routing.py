@@ -9,9 +9,11 @@ neighbours overhear, the first hops of a dispatch and the pick a node
 commits to, since choosing a forwarder puts it on the path for that
 source.  The wait-ranked selectors of the delay-sensitive classes take a
 lookup ``wait(node_id)`` that returns a neighbour's current transmit-queue
-length; the table stores no queue lengths.  The PCT-checked selectors of
-the reliable classes also hold the sink-ward rule: they never pick a
-neighbour farther from the sink than the selecting node.
+length; the table stores no queue lengths.  The staged selectors of the
+reliable classes are the whole per-hop policy of those classes.  Their
+sink-ward rule binds stages 1 and 2 only: a neighbour farther from the sink
+than the selecting node is picked only when no candidate at most as far from
+the sink is left.
 
 Tie-breaking is deterministic throughout: candidates compare by
 ``(ranking key..., hop, node id)`` so identical tables always yield
@@ -20,6 +22,7 @@ identical decisions regardless of insertion order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
@@ -95,7 +98,7 @@ def _by_energy_hop_id(entry: FitEntry) -> tuple[float, int, int]:
     return (-entry.energy, entry.hop, entry.neighbor)
 
 
-def by_wait_hop_id(wait: Wait) -> Callable[[FitEntry], tuple[int, int, int]]:
+def _by_wait_hop_id(wait: Wait) -> Callable[[FitEntry], tuple[int, int, int]]:
     # Queue length orders waiting time for a fixed per-packet service time.
     return lambda entry: (wait(entry.neighbor), entry.hop, entry.neighbor)
 
@@ -162,7 +165,7 @@ def next_hop_delay(
     shortlist = _hop_shortlist(fit, excluded)
     if not shortlist:
         return None
-    pick = min(shortlist, key=by_wait_hop_id(wait))
+    pick = min(shortlist, key=_by_wait_hop_id(wait))
     return RouteDecision(pick.neighbor, Rationale.MIN_WAIT)
 
 
@@ -177,7 +180,7 @@ def paths_delay_reliable(fit: Fit, wait: Wait) -> tuple[int, ...] | None:
     shortlist = _hop_shortlist(fit, frozenset())
     if not shortlist:
         return None
-    rank = by_wait_hop_id(wait)
+    rank = _by_wait_hop_id(wait)
     primary = min(shortlist, key=rank)
     rest = [e for e in shortlist if e.neighbor != primary.neighbor]
     if not rest:
@@ -185,44 +188,69 @@ def paths_delay_reliable(fit: Fit, wait: Wait) -> tuple[int, ...] | None:
     return (primary.neighbor, min(rest, key=rank).neighbor)
 
 
-def _next_hop_pct_checked(
+def _next_hop_staged(
     fit: Fit,
     pct: Pct,
     src: int,
-    excluded: frozenset[int] | set[int] = frozenset(),
+    prev: int | None = None,
+    tried: frozenset[int] | set[int] = frozenset(),
+    parent: int | None = None,
     *,
     rank: Callable[[FitEntry], tuple] | None,
     first: Rationale,
+    backtrack: bool,
+    e_threshold: float = -math.inf,
 ) -> tuple[RouteDecision | None, Pct]:
-    """PCT-checked selection used at reliable-class intermediates.
+    """One reliable-class forwarding decision at a relay.
 
-    Candidates are the rows not in ``excluded`` and not farther from the
-    sink than the selecting node: a detour that moves backward can trap a
-    copy in a leaf pocket.  The best-ranked candidate, by ``rank`` or else
-    in ``(hop, id)`` order, is taken unless the PCT already places it on the
-    path of this very source, in which case the next-best is tried;
-    appearing on other sources' paths is fine.  The pick's rationale is
-    ``first`` if no candidate was skipped, else ``ALTERNATE_RELIABLE``.  The
-    PCT is only read: the engine records the pick once it commits to it.
+    ``prev`` is the node the copy came from, ``tried`` the neighbours this
+    node already sent the copy to and ``parent`` the node it first came
+    from; none of them is a candidate.  Candidates are ranked by ``rank``,
+    or else in ``(hop, id)`` order, and the stages run in turn:
+
+    1. a candidate no farther from the sink than the node, unless its
+       energy is below ``e_threshold`` or the PCT already places it on this
+       very source's path (appearing on other sources' paths is fine); the
+       rationale is ``first`` if the PCT blocked no better-ranked
+       candidate, else ``ALTERNATE_RELIABLE``;
+    2. a candidate no farther from the sink, whatever its energy and the PCT;
+    3. any candidate: a detour away from the sink, around a failure hole;
+    4. with ``backtrack``, back to ``prev``, then to ``parent``, if that
+       edge is unused.
+
+    Stages 2 and 3 are ``FALLBACK``, stage 4 is ``BACKTRACK``.  The PCT is
+    only read: the engine records the pick once it commits to it.
 
     Returns ``(decision, pct)`` with the given table unchanged, a shape the
     benchmark's tracer relies on (it reads the decision as ``result[0]``).
     """
     self_hop = fit.self_hop
-    rows = [e for e in fit.by_hop if e.hop <= self_hop and e.neighbor not in excluded]
+    skip = {prev, parent, *tried}
+    rows = [e for e in fit.by_hop if e.hop <= self_hop and e.neighbor not in skip]
     rationale = first
     while rows:
         pick = rows[0] if rank is None else min(rows, key=rank)
-        if not _pct_blocks(pct, fit.self_id, pick.neighbor, src):
-            return RouteDecision(pick.neighbor, rationale), pct
+        if pick.energy >= e_threshold:
+            if not _pct_blocks(pct, fit.self_id, pick.neighbor, src):
+                return RouteDecision(pick.neighbor, rationale), pct
+            rationale = Rationale.ALTERNATE_RELIABLE
         rows.remove(pick)
-        rationale = Rationale.ALTERNATE_RELIABLE
+    rows = [e for e in fit.by_hop if e.neighbor not in skip]
+    pool = [e for e in rows if e.hop <= self_hop] or rows
+    if pool:
+        pick = pool[0] if rank is None else min(pool, key=rank)
+        return RouteDecision(pick.neighbor, Rationale.FALLBACK), pct
+    if backtrack:
+        for back in (prev, parent):
+            if back in fit.entries and back not in tried:
+                return RouteDecision(back, Rationale.BACKTRACK), pct
     return None, pct
 
 
-# Plain reliable class: least hop first; returns ``(decision, pct)``.
+# Plain reliable class: least hop first, the energy threshold in stage 1,
+# and Tarry's backtracks in stage 4; returns ``(decision, pct)``.
 next_hop_reliable = partial(
-    _next_hop_pct_checked, rank=None, first=Rationale.PRIMARY_RELIABLE
+    _next_hop_staged, rank=None, first=Rationale.PRIMARY_RELIABLE, backtrack=True
 )
 
 
@@ -230,15 +258,25 @@ def next_hop_delay_reliable_intermediate(
     fit: Fit,
     pct: Pct,
     src: int,
-    excluded: frozenset[int] | set[int] = frozenset(),
+    prev: int | None = None,
+    tried: frozenset[int] | set[int] = frozenset(),
+    parent: int | None = None,
     *,
     wait: Wait,
 ) -> tuple[RouteDecision | None, Pct]:
-    """Hybrid class: least waiting time first; hop count and id break ties.
-    Returns ``(decision, pct)`` like :func:`next_hop_reliable`."""
-    rank = by_wait_hop_id(wait)
-    return _next_hop_pct_checked(
-        fit, pct, src, excluded, rank=rank, first=Rationale.MIN_WAIT
+    """Hybrid class: least waiting time first, hop count and id break ties;
+    no energy threshold and no backtracks.  Returns ``(decision, pct)`` like
+    :func:`next_hop_reliable`."""
+    return _next_hop_staged(
+        fit,
+        pct,
+        src,
+        prev,
+        tried,
+        parent,
+        rank=_by_wait_hop_id(wait),
+        first=Rationale.MIN_WAIT,
+        backtrack=False,
     )
 
 

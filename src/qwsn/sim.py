@@ -68,7 +68,6 @@ from .routing import (
     Rationale,
     RouteDecision,
     alternates_reliable,
-    by_wait_hop_id,
     next_hop_delay,
     next_hop_delay_reliable_intermediate,
     next_hop_normal,
@@ -278,11 +277,10 @@ class ReplyCopy:
     decreases at every successful handoff.
 
     ``forwarded`` maps a node id to the next hops that node has already used
-    for this copy; the reliable classes never reuse such an edge, except for
-    the hybrid's strictly sink-ward last resort.  ``parent`` maps a node id to
-    the neighbour that node first received this copy from; the plain reliable
-    class returns the copy there only once no unused edge is left (Tarry's
-    traversal).  The source has no parent.
+    for this copy; the reliable classes never reuse such an edge.  ``parent``
+    maps a node id to the neighbour that node first received this copy from;
+    the plain reliable class returns the copy there only once no unused edge
+    is left (Tarry's traversal).  The source has no parent.
 
     ``path`` lists the nodes that received the copy, so an attempt lost to a
     dead receiver adds nothing to it and counts in ``failures_seen`` instead.
@@ -574,12 +572,9 @@ class Simulation:
             fit.self_energy = node.energy
             node.has_broadcast = False
             node.flood_pending = False
-        self._schedule(self.now, self._on_query_start, SINK, query_id)
+        self._trace("query_start", SINK, -1, query_id, "")
+        self._enqueue_tx(self.nodes[SINK], query_id)
         self._drain()
-
-    def _on_query_start(self, sink_id: int, query_id: int) -> None:
-        self._trace("query_start", sink_id, -1, query_id, "")
-        self._enqueue_tx(self.nodes[sink_id], query_id)
 
     def _transmit_flood(self, node: NodeState, query_id: int) -> bool:
         node.flood_pending = False
@@ -725,97 +720,45 @@ class Simulation:
         return copies
 
     def _route(self, node: NodeState, copy: ReplyCopy) -> RouteDecision | None:
+        if self.qos in _RELIABLE_CLASSES:
+            return self._route_reliable(node, copy)
         prev = copy.prev_hop
         excluded = frozenset() if prev is None else frozenset({prev})
         if self.qos is QosClass.NORMAL:
             return next_hop_normal(node.fit, excluded)
-        if self.qos is QosClass.DELAY:
-            return next_hop_delay(node.fit, self._wait, excluded)
-        return self._route_reliable(node, copy, by_wait=self.qos is QosClass.DELAY_RELIABLE)
+        return next_hop_delay(node.fit, self._wait, excluded)
 
-    def _route_reliable(
-        self, node: NodeState, copy: ReplyCopy, by_wait: bool
-    ) -> RouteDecision | None:
-        """Reliable-class forwarding with staged constraint relaxation.
+    def _route_reliable(self, node: NodeState, copy: ReplyCopy) -> RouteDecision | None:
+        """Reliable-class forwarding: the staged selectors of
+        :mod:`qwsn.routing` choose, and the pick is recorded here once, in
+        ``forwarded`` and as the node's own row of the round's PCT.
 
         A node never forwards the same copy to the same neighbour twice (the
         copy's ``forwarded`` memory), which makes repair walks
-        edge-self-avoiding and therefore finite.  Stage 1, for both classes,
-        is disjoint and sink-ward: the PCT-checked selector over unused
-        edges, excluding the previous hop and the parent.  The selector
-        itself excludes candidates strictly farther from the sink.
-
-        Past stage 1 the plain reliable class runs Tarry's traversal
-        (G. Tarry, 1895) over its whole table:
-
-        2. any other unused edge, least hop first;
-        3. back to the previous hop, if that edge is unused;
-        4. back to the parent, once no other edge is left.
-
-        Acks remove dead neighbours from the table, so on the alive graph a
-        copy can run out of edges only at its source, after it has used
-        every edge of the source's component in both directions: it reaches
-        the sink whenever the source is still connected to it.  Stages 3 and
-        4 are backtracks.  The hybrid sends without acks and keeps the staged
-        relaxation of :meth:`_reliable_fallback`.
-
-        The stages only choose.  The pick, whichever stage made it, is
-        recorded here once, in ``forwarded`` and as the node's own row of the
-        round's PCT.
+        edge-self-avoiding and therefore finite.  The plain class's stages
+        make up Tarry's traversal (G. Tarry, 1895), and acks remove dead
+        neighbours from the table, so on the alive graph a copy can run out
+        of edges only at its source, after it has used every edge of the
+        source's component in both directions: it reaches the sink whenever
+        the source is still connected to it.  The hybrid sends without acks
+        and does not backtrack.
         """
         prev = copy.prev_hop
         parent = copy.parent.get(node.id)
-        tried = copy.forwarded.get(node.id, set())
-        excluded = {prev, parent, *tried}
-        if by_wait:
+        tried = copy.forwarded.get(node.id, frozenset())
+        if self.qos is QosClass.DELAY_RELIABLE:
             decision, _ = next_hop_delay_reliable_intermediate(
-                node.fit, self.pct, copy.src, excluded, wait=self._wait
+                node.fit, self.pct, copy.src, prev, tried, parent, wait=self._wait
             )
-            if decision is None:
-                decision = self._reliable_fallback(node, prev, tried)
         else:
-            fit = prune_low_energy(node.fit, self.config.e_threshold)
-            decision, _ = next_hop_reliable(fit, self.pct, copy.src, excluded)
-            if decision is None:
-                decision = self._tarry_step(node, prev, parent, tried)
+            threshold = self.config.e_threshold
+            decision, _ = next_hop_reliable(
+                node.fit, self.pct, copy.src, prev, tried, parent, e_threshold=threshold
+            )
         if decision is not None:
             copy.forwarded.setdefault(node.id, set()).add(decision.next_hop)
             pct_observe(self.pct, decision.next_hop, copy.src, node.id)
         return decision
-
-    def _tarry_step(
-        self, node: NodeState, prev: int | None, parent: int | None, tried: set[int]
-    ) -> RouteDecision | None:
-        """Stages 2-4 of plain reliable forwarding: path disjointness and the
-        energy threshold are best effort, delivery is the guarantee."""
-        for e in node.fit.by_hop:
-            if e.neighbor not in tried and e.neighbor not in (prev, parent):
-                return RouteDecision(e.neighbor, Rationale.FALLBACK)
-        for back in (prev, parent):
-            if back in node.fit.entries and back not in tried:
-                return RouteDecision(back, Rationale.BACKTRACK)
-        return None
-
-    def _reliable_fallback(
-        self, node: NodeState, prev: int | None, tried: set[int]
-    ) -> RouteDecision | None:
-        """Stages 2-4 of hybrid forwarding, by least wait: sink-ward past
-        the disjointness wall (PCT ignored), then a backward escape around a
-        failure hole one fresh edge at a time, then strictly sink-ward reuse,
-        which cannot cycle because the hop count strictly decreases."""
-        rank = by_wait_hop_id(self._wait)
-        self_hop = node.fit.self_hop
-        rows = [e for e in node.fit.by_hop if e.neighbor != prev]
-        pools = (
-            lambda e: e.hop <= self_hop and e.neighbor not in tried,
-            lambda e: e.neighbor not in tried,
-            lambda e: e.hop < self_hop,
-        )
-        for admits in pools:
-            pool = [e for e in rows if admits(e)]
-            if pool:
-                return RouteDecision(min(pool, key=rank).neighbor, Rationale.FALLBACK)
-        return None
 
     def _transmit_reply(self, node: NodeState, copy: ReplyCopy) -> bool:
         if copy.done:

@@ -9,7 +9,7 @@ exhaustively enumerated tables is meaningful evidence.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 from qwsn.protocol import Fit, FitEntry
 
@@ -131,53 +131,89 @@ def node_pct_rows(fit, heard, own):
     return rows
 
 
-def _sink_ward(fit, excluded):
-    """The rows not in ``excluded`` whose hop count is at most the node's."""
-    live = {}
+def _least(rows, key):
+    best = None
+    for cand in rows:
+        if best is None or key(cand) < key(best):
+            best = cand
+    return best
+
+
+def _oracle_staged(
+    fit, pct_rows, src, prev, tried, parent, key, e_threshold, first, backtrack
+):
+    """Step list of one reliable-class decision at a relay.
+
+    Fresh rows are those other than ``prev``, ``parent`` and the ``tried``
+    ones; near rows are the fresh rows whose hop count is at most the
+    node's.  Stage 1: the best near row whose energy clears ``e_threshold``
+    (``None``: no threshold) and that no PCT row names for ``src``; the
+    rationale turns to alternate once a blocked row was passed over.
+    Stage 2: the best near row.  Stage 3: the best fresh row.  Stage 4, only
+    with ``backtrack``: ``prev``, then ``parent``, when it is in the table
+    and not tried.  Returns ``(neighbour, rationale value)``.
+    """
+    fresh = []
     for n, e in fit.entries.items():
-        if n not in excluded and e.hop <= fit.self_hop:
-            live[n] = e
-    return live
-
-
-def oracle_next_hop_reliable(fit, pct_rows, src, excluded=frozenset()):
-    """Step list: drop rows farther from the sink than the node; least-hop
-    candidate; blocked when the table has a row naming it for this very
-    source; rows for other sources do not block."""
-    live = _sink_ward(fit, excluded)
+        if n != prev and n != parent and n not in tried:
+            fresh.append(e)
+    near = [e for e in fresh if e.hop <= fit.self_hop]
+    live = [e for e in near if e_threshold is None or e.energy >= e_threshold]
+    rationale = first
     while live:
-        best = None
-        for cand in live.values():
-            if best is None or (cand.hop, cand.neighbor) < (best.hop, best.neighbor):
-                best = cand
-        blocked = False
-        for row in pct_rows:
-            if row == (best.neighbor, src):
-                blocked = True
-        if blocked:
-            del live[best.neighbor]
-            continue
-        return best.neighbor
-    return None
-
-
-def oracle_next_hop_delay_reliable(fit, queues, pct_rows, src, excluded=frozenset()):
-    """As :func:`oracle_next_hop_reliable`, least queue length first."""
-    live = _sink_ward(fit, excluded)
-    while live:
-        best = None
-        for cand in live.values():
-            if best is None or (queues[cand.neighbor], cand.hop, cand.neighbor) < (
-                queues[best.neighbor],
-                best.hop,
-                best.neighbor,
-            ):
-                best = cand
+        best = _least(live, key)
         if (best.neighbor, src) in pct_rows:
-            del live[best.neighbor]
+            rationale = "alternate_reliable"
+            live.remove(best)
             continue
-        return best.neighbor
+        return best.neighbor, rationale
+    if near:
+        return _least(near, key).neighbor, "fallback"
+    if fresh:
+        return _least(fresh, key).neighbor, "fallback"
+    if backtrack:
+        for back in (prev, parent):
+            if back is not None and back in fit.entries and back not in tried:
+                return back, "backtrack"
     return None
+
+
+def oracle_next_hop_reliable(
+    fit, pct_rows, src, prev=None, tried=frozenset(), parent=None, e_threshold=0.0
+):
+    """Plain class: least ``(hop, id)`` first, the threshold in stage 1, and
+    backtracks once every other edge is used."""
+    return _oracle_staged(
+        fit,
+        pct_rows,
+        src,
+        prev,
+        tried,
+        parent,
+        key=lambda e: (e.hop, e.neighbor),
+        e_threshold=e_threshold,
+        first="primary_reliable",
+        backtrack=True,
+    )
+
+
+def oracle_next_hop_delay_reliable(
+    fit, queues, pct_rows, src, prev=None, tried=frozenset(), parent=None
+):
+    """Hybrid class: least ``(queue, hop, id)`` first, no threshold and no
+    backtracks."""
+    return _oracle_staged(
+        fit,
+        pct_rows,
+        src,
+        prev,
+        tried,
+        parent,
+        key=lambda e: (queues[e.neighbor], e.hop, e.neighbor),
+        e_threshold=None,
+        first="min_wait",
+        backtrack=False,
+    )
 
 
 def reference_pct_observe(rows, forwarder, src):
@@ -327,7 +363,29 @@ def check_delay_selector_equivalence(max_size=4):
     return count
 
 
-def check_pct_selector_equivalence(max_size=4):
+def walk_memories(ids, absent=9):
+    """``(prev, tried, parent)`` walk states over a table's ids.
+
+    The first three leave candidates for the PCT to block: no memory at
+    all, ``prev`` and ``parent`` excluded, and one tried edge.  The last
+    three leave none: the way back to ``prev``, the way back to ``parent``,
+    and a ``prev`` no longer in the table with every edge used.
+    """
+    first, last, every = ids[0], ids[-1], frozenset(ids)
+    explore = [
+        (None, frozenset(), None),
+        (first, frozenset(), last),
+        (last, frozenset({first}), None),
+    ]
+    exhaust = [
+        (first, every - {first}, last),
+        (first, every - {last}, last),
+        (absent, every, None),
+    ]
+    return explore, exhaust
+
+
+def check_pct_selector_equivalence(max_size=3, e_threshold=0.01):
     from qwsn.routing import (
         Pct,
         next_hop_delay_reliable_intermediate,
@@ -339,12 +397,19 @@ def check_pct_selector_equivalence(max_size=4):
     for fit, queues in enumerate_tables(
         max_size,
         hop_values=(1, 2),
-        energy_values=(1.0,),
+        energy_values=(0.005, 1.0),
         queue_values=(0, 1),
         forwarder_pools=lambda nid, chosen: [()],
     ):
+        # queue lengths do not rank the plain class, nor energy the hybrid
+        plain = not any(queues.values())
+        hybrid = plain or all(e.energy == 1.0 for e in fit.entries.values())
+        if not hybrid:
+            continue
+        wait = queues.__getitem__
         ids = sorted(fit.entries)
         other_node = ids[0]  # a neighbour's own rows are not this node's
+        explore, exhaust = walk_memories(ids)
         for heard, own in all_pct_row_sets(ids, fit.self_id, other_node, _SRC, _OTHER):
             pct = Pct()
             for forwarder, src in heard:
@@ -352,23 +417,33 @@ def check_pct_selector_equivalence(max_size=4):
             for node, forwarder, src in own:
                 pct_observe(pct, forwarder, src, node)
             rows = node_pct_rows(fit, heard, own)
+            # the PCT matters only while candidates are left
+            memories = explore if heard or own else explore + exhaust
             # rows of hop 2 are farther from the sink than a node of hop 1
             # and level with one of hop 2, and rows of hop 1 are closer
-            for self_hop in (1, 2):
+            for self_hop, (prev, tried, parent) in product((1, 2), memories):
                 fit.self_hop = self_hop
-                where = (fit, heard, own)
-                # queue lengths do not rank the plain class, so one
-                # assignment of them covers it
-                if not any(queues.values()):
-                    got, _ = next_hop_reliable(fit, pct, _SRC)
-                    expected = oracle_next_hop_reliable(fit, rows, _SRC)
-                    assert (got.next_hop if got else None) == expected, where
+                where = (fit, heard, own, prev, tried, parent)
+                if plain:
+                    got, _ = next_hop_reliable(
+                        fit, pct, _SRC, prev, tried, parent, e_threshold=e_threshold
+                    )
+                    expected = oracle_next_hop_reliable(
+                        fit, rows, _SRC, prev, tried, parent, e_threshold
+                    )
+                    assert _outcome(got) == expected, where
                 got, _ = next_hop_delay_reliable_intermediate(
-                    fit, pct, _SRC, wait=queues.__getitem__
+                    fit, pct, _SRC, prev, tried, parent, wait=wait
                 )
-                expected = oracle_next_hop_delay_reliable(fit, queues, rows, _SRC)
-                assert (got.next_hop if got else None) == expected, where
+                expected = oracle_next_hop_delay_reliable(
+                    fit, queues, rows, _SRC, prev, tried, parent
+                )
+                assert _outcome(got) == expected, where
+                count += 1
             # selectors only read the table
             assert (pct.heard, pct.own) == (set(heard), set(own)), (fit, heard, own)
-            count += 1
     return count
+
+
+def _outcome(decision):
+    return None if decision is None else (decision.next_hop, decision.rationale.value)

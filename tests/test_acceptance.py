@@ -266,6 +266,10 @@ def test_criterion_8_property_suites(energy_latency_runs, failure_runs):
                 assert copy.path[i] in copy.path[:i]
             for i, (a, b, c) in enumerate(zip(copy.path, copy.path[1:], copy.path[2:])):
                 assert a != c or i + 2 in copy.backtracks, f"ping-pong {a}->{b}->{c}"
+            # a reliable-class copy never uses a directed edge twice
+            if metrics.qos in (R, DR):
+                edges = list(zip(copy.path, copy.path[1:]))
+                assert len(set(edges)) == len(edges), copy.path
 
     # normal-class delivered copies that never fell back walk exactly the
     # source's converged hop count

@@ -2,6 +2,7 @@
 equivalence against independent step-list oracles on all small tables."""
 
 import copy
+from functools import partial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,9 +13,7 @@ from oracles import (
     make_fit,
     oracle_alternates_reliable,
     oracle_next_hop_delay,
-    oracle_next_hop_delay_reliable,
     oracle_next_hop_normal,
-    oracle_next_hop_reliable,
     oracle_paths_delay_reliable,
     oracle_primary_reliable,
 )
@@ -192,7 +191,12 @@ class TestNextHopReliable:
     def test_exhaustion_returns_no_route(self):
         fit = make_fit([entry(1, hop=1)])
         pct = observed((1, SRC))
+        # a PCT-blocked row is still an unused edge, taken past stage 1
         decision, out = next_hop_reliable(fit, pct, SRC)
+        assert decision == RouteDecision(1, Rationale.FALLBACK)
+        assert out is pct
+        # once every edge is used, no route is left
+        decision, out = next_hop_reliable(fit, pct, SRC, tried={1})
         assert decision is None
         assert out is pct
 
@@ -213,8 +217,35 @@ class TestNextHopReliable:
         fit = make_fit([entry(1, hop=1), entry(2, hop=2), entry(3, hop=3)], self_hop=2)
         decision, _ = next_hop_reliable(fit, observed((1, SRC)), SRC)
         assert decision == RouteDecision(2, Rationale.ALTERNATE_RELIABLE)
+        # with both sink-ward rows blocked, stage 2 still prefers them
         decision, _ = next_hop_reliable(fit, observed((1, SRC), (2, SRC)), SRC)
-        assert decision is None
+        assert decision == RouteDecision(1, Rationale.FALLBACK)
+
+    def test_threshold_skips_a_row_in_stage_one_only(self):
+        fit = make_fit([entry(1, hop=1, energy=0.005), entry(2, hop=1)])
+        decision, _ = next_hop_reliable(fit, Pct(), SRC, e_threshold=0.01)
+        # a row below the threshold is passed over, not blocked
+        assert decision == RouteDecision(2, Rationale.PRIMARY_RELIABLE)
+        decision, _ = next_hop_reliable(
+            fit, observed((2, SRC)), SRC, e_threshold=0.01
+        )
+        assert decision == RouteDecision(1, Rationale.FALLBACK)
+
+    def test_farther_row_once_no_sink_ward_edge_is_left(self):
+        fit = make_fit([entry(1, hop=1), entry(3, hop=3)], self_hop=2)
+        decision, _ = next_hop_reliable(fit, Pct(), SRC, tried={1})
+        assert decision == RouteDecision(3, Rationale.FALLBACK)
+
+    def test_backtracks_to_prev_then_parent_over_unused_edges(self):
+        fit = make_fit([entry(1, hop=1), entry(2, hop=2), entry(3, hop=3)], self_hop=2)
+        select = partial(next_hop_reliable, fit, Pct(), SRC)
+        # prev and parent are no forward candidates
+        assert select(2, set(), 1)[0] == RouteDecision(3, Rationale.FALLBACK)
+        assert select(2, {3}, 1)[0] == RouteDecision(2, Rationale.BACKTRACK)
+        assert select(2, {2, 3}, 1)[0] == RouteDecision(1, Rationale.BACKTRACK)
+        assert select(2, {1, 2, 3}, 1)[0] is None
+        # a back edge to a node no longer in the table is not taken
+        assert select(9, {1, 2, 3}, None)[0] is None
 
 
 def waits(queues):
@@ -310,13 +341,13 @@ class TestDelayReliableIntermediate:
         assert decision.next_hop == 2
         assert decision.rationale is Rationale.ALTERNATE_RELIABLE
 
-    def test_all_blocked_is_no_route(self):
+    def test_all_blocked_falls_back_by_least_wait(self):
         fit = make_fit([entry(1, hop=1), entry(2, hop=1)])
         pct = observed((1, SRC), (2, SRC))
         decision, _ = next_hop_delay_reliable_intermediate(
-            fit, pct, SRC, wait=waits({1: 0, 2: 0})
+            fit, pct, SRC, wait=waits({1: 3, 2: 0})
         )
-        assert decision is None
+        assert decision == RouteDecision(2, Rationale.FALLBACK)
 
     def test_rows_farther_from_the_sink_are_never_picked(self):
         # the node is two hops out: row 3 waits least but is farther, row 2
@@ -325,8 +356,21 @@ class TestDelayReliableIntermediate:
         wait = waits({1: 4, 2: 2, 3: 0})
         decision, _ = next_hop_delay_reliable_intermediate(fit, Pct(), SRC, wait=wait)
         assert decision == RouteDecision(2, Rationale.MIN_WAIT)
+        # with both sink-ward rows blocked, stage 2 still prefers them
         decision, _ = next_hop_delay_reliable_intermediate(
             fit, observed((1, SRC), (2, SRC)), SRC, wait=wait
+        )
+        assert decision == RouteDecision(2, Rationale.FALLBACK)
+
+    def test_no_threshold_and_no_backtrack(self):
+        fit = make_fit([entry(1, hop=1, energy=0.0), entry(2, hop=2)], self_hop=2)
+        wait = waits({1: 0, 2: 0})
+        decision, _ = next_hop_delay_reliable_intermediate(fit, Pct(), SRC, wait=wait)
+        assert decision == RouteDecision(1, Rationale.MIN_WAIT)
+        # every edge but the one back to prev is used, and the hybrid never
+        # goes back
+        decision, _ = next_hop_delay_reliable_intermediate(
+            fit, Pct(), SRC, 1, {2}, None, wait=wait
         )
         assert decision is None
 

@@ -14,7 +14,6 @@ from oracles import reference_pct_observe
 from qwsn.protocol import HOP_INF, QosClass
 from qwsn.routing import (
     Rationale,
-    RouteDecision,
     _pct_blocks,
     next_hop_delay_reliable_intermediate,
     next_hop_reliable,
@@ -523,17 +522,17 @@ class TestHybridFallback:
         assert batch[1].fallback_used
         assert Rationale.FALLBACK in rationales
 
-    def test_strictly_sink_ward_reuse_once_every_other_edge_is_used(self):
+    def test_no_edge_is_reused_once_every_other_edge_is_used(self):
         # the walk never makes this state itself.  Node 3 of seven has 2
         # one hop closer to the sink and 4 level with it: a copy from 4
-        # that has already used the edge to 2 may use it again
+        # that has already used the edge to 2 has no route left
         sim = ring_simulation(7)
         node = sim.nodes[3]
         copy = sim._new_copy(2, 0, 0, None, sim.now)
         copy.prev_hop = 4
         copy.forwarded[3] = {2}
-        assert sim._route(node, copy) == RouteDecision(2, Rationale.FALLBACK)
-        # but a copy from 2 may not use the edge to 4 again
+        assert sim._route(node, copy) is None
+        # nor may a copy from 2 use the edge to 4 again
         copy.prev_hop = 2
         copy.forwarded[3] = {4}
         assert sim._route(node, copy) is None
