@@ -196,7 +196,7 @@ def run_case4_lifetime(config: SimConfig, topology: Topology) -> LifetimeResult:
         topology=topology,
         exempt_sources_from_failure=False,
     )
-    sim.run_flood(query_id=0)
+    sim.run_flood()
     sim.inject_failures()
     failed = sim.failed_nodes
     dead_needed = math.ceil(config.n * DEATH_FRACTION)

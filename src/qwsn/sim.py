@@ -4,17 +4,19 @@ One :class:`Simulation` owns one run: a seeded random topology, per-node
 state (energy, tables, transmit queue), and a single event queue processed
 in strict ``(time, insertion order)`` order.  A run executes four phases:
 
-1. query flood at the class-appropriate radio range (or, in a sweep, a copy
-   of the :class:`FloodState` one flood per topology and range left, since
-   the flood reads neither the class nor the failure fraction),
+1. query flood at the class-appropriate radio range (or, in a sweep, the
+   :class:`FloodState` one flood per topology and range left, since the
+   flood reads neither the class nor the failure fraction),
 2. optional failure injection (nodes marked dead after the flood),
 3. reply dispatch from the chosen source nodes, routed per service class,
 4. event drain, after which :meth:`Simulation.metrics` summarises the run.
 
 Events: each heap entry is ``(time, insertion order, handler, node, data)``
 and the drain calls ``handler(node, data)``.  A node's transmit queue holds
-its jobs as they are: a query id to rebroadcast or the :class:`ReplyCopy` to
-forward.
+its jobs as they are: the :class:`ReplyCopy` to forward, or ``None`` to
+rebroadcast the run's one query.  Only the flood changes a FIT in place;
+afterwards dropping a neighbour builds a new table (copy on write), so runs
+can share the tables a flood left.
 
 Path construction tables (reliable classes): every alive neighbour of a
 reply's sender overhears it, a source records its dispatch's first hops,
@@ -53,7 +55,6 @@ import numpy as np
 
 from .protocol import (
     HOP_INF,
-    DataReqHeader,
     Fit,
     FitEntry,
     FloodAction,
@@ -328,14 +329,12 @@ class NodeState:
 
 
 class FloodNode(NamedTuple):
-    """One node as a query flood left it; ``rows`` is its FIT in insertion
-    order, the frozen rows shared with every table restored from it."""
+    """One node as a query flood left it.  ``fit`` is the flood's own table,
+    which every run restored from the state shares."""
 
     energy: float
     alive: bool
-    self_hop: int
-    self_energy: float
-    rows: tuple[FitEntry, ...]
+    fit: Fit
 
 
 class FloodState(NamedTuple):
@@ -345,6 +344,9 @@ class FloodState(NamedTuple):
     radio range, and nothing else of the run: not the service class, and not
     the failure fraction, because failures are injected after it.  So every
     run on one topology at one range can start from the same flood state.
+
+    Its runs share its tables as they are: a restored run cannot flood, and
+    :func:`remove_failed` and :func:`prune_low_energy` return copies.
     """
 
     active_range: float
@@ -358,8 +360,9 @@ class FloodState(NamedTuple):
 class RunMetrics:
     """Everything measured in one run.
 
-    ``copies`` holds the run's finished reply copies.  Average dissipated
-    energy is total dissipation over replies delivered.  Delivery
+    ``copies`` holds the run's finished reply copies, which the reply counts
+    and latencies are read from.  Average energy is total dissipation over
+    replies delivered.  Delivery
     probability is per source: the fraction of query sources whose response
     survived to the sink in at least one copy, which is what the redundant
     copies exist to ensure.
@@ -368,15 +371,24 @@ class RunMetrics:
     qos: QosClass
     config: SimConfig
     total_energy_dissipated: float
-    replies_sent: int
-    replies_delivered: int
-    latencies: tuple[float, ...]
     copies: tuple[ReplyCopy, ...]
     failed_nodes: tuple[int, ...]
     sources: tuple[int, ...]
     hop_counts: tuple[int, ...]
     energy_residual: float
     trace: tuple[tuple, ...] | None = None
+
+    @property
+    def replies_sent(self) -> int:
+        return len(self.copies)
+
+    @property
+    def replies_delivered(self) -> int:
+        return sum(1 for c in self.copies if c.delivered)
+
+    @property
+    def latencies(self) -> tuple[float, ...]:
+        return tuple(c.latency for c in self.copies if c.delivered)
 
     @property
     def avg_dissipated_energy(self) -> float:
@@ -436,19 +448,8 @@ class Simulation:
             self.now = flood.now
             self.dissipated = flood.dissipated
             self.flood_broadcasts = flood.flood_broadcasts
-            # Each node gets its own table; the frozen rows are shared.
             self.nodes = [
-                NodeState(
-                    id=i,
-                    energy=saved.energy,
-                    fit=Fit(
-                        i,
-                        saved.self_hop,
-                        saved.self_energy,
-                        {row.neighbor: row for row in saved.rows},
-                    ),
-                    alive=saved.alive,
-                )
+                NodeState(id=i, energy=saved.energy, fit=saved.fit, alive=saved.alive)
                 for i, saved in enumerate(flood.nodes)
             ]
         self._seq = 0
@@ -522,8 +523,8 @@ class Simulation:
     # ------------------------------------------------------------------
     # transmit queue
 
-    def _enqueue_tx(self, node: NodeState, job: int | ReplyCopy) -> None:
-        """Queue a query id to rebroadcast or a reply copy to forward."""
+    def _enqueue_tx(self, node: NodeState, job: ReplyCopy | None) -> None:
+        """Queue a reply copy to forward, or ``None`` to rebroadcast the query."""
         node.tx_queue.append(job)
         if not node.transmitting:
             self._schedule(self.now, self._on_queue_service, node.id)
@@ -547,10 +548,10 @@ class Simulation:
         if not node.tx_queue:
             return
         job = node.tx_queue.popleft()
-        if isinstance(job, ReplyCopy):
-            started = self._transmit_reply(node, job)
+        if job is None:
+            started = self._transmit_flood(node)
         else:
-            started = self._transmit_flood(node, job)
+            started = self._transmit_reply(node, job)
         if not node.alive:
             self._flush_dead_queue(node)
         elif not started and node.tx_queue:
@@ -559,42 +560,38 @@ class Simulation:
     # ------------------------------------------------------------------
     # query flood
 
-    def run_flood(self, query_id: int = 0) -> None:
-        """Flood one query from the sink and run to quiescence.
+    def run_flood(self) -> None:
+        """Flood the run's one query (id 0) from the sink and run to quiescence.
 
-        Every node's own FIT record is refreshed at query start: hop reset
-        (0 at the sink, unknown elsewhere) and the battery level snapshotted,
-        so all headers within one flood advertise start-of-round energy.
+        A run floods once, on fresh tables, so every advert carries the
+        initial battery level; a run that has flooded, or was restored from a
+        :class:`FloodState` whose tables it shares, is refused.
         """
-        for node in self.nodes:
-            fit = node.fit
-            fit.self_hop = 0 if node.id == SINK else HOP_INF
-            fit.self_energy = node.energy
-            node.has_broadcast = False
-            node.flood_pending = False
-        self._trace("query_start", SINK, -1, query_id, "")
-        self._enqueue_tx(self.nodes[SINK], query_id)
+        if self.flood_broadcasts > 0:
+            raise RuntimeError("a run floods its query once")
+        self._trace("query_start", SINK, -1, 0, "")
+        self._enqueue_tx(self.nodes[SINK], None)
         self._drain()
 
-    def _transmit_flood(self, node: NodeState, query_id: int) -> bool:
+    def _transmit_flood(self, node: NodeState) -> bool:
         node.flood_pending = False
         if node.fit.self_hop >= HOP_INF:
             return False
         if not self._debit(node, self._tx_cost_broadcast):
             return False
-        hdr = advert_from_fit(node.fit, query_id)
+        row = advert_from_fit(node.fit)
         node.has_broadcast = True
         node.transmitting = True
         node.tx_end = self.now + self.config.service_time
         self._schedule(node.tx_end, self._on_queue_service, node.id)
         self.flood_broadcasts += 1
         if self._trace_lines is not None:
-            detail = f"hop={hdr.sender_hop} energy={hdr.sender_energy:.9f}"
-            self._trace("broadcast", node.id, -1, query_id, detail)
-        self._schedule(node.tx_end, self._on_broadcast_arrive, node.id, hdr)
+            detail = f"hop={row.hop} energy={row.energy:.9f}"
+            self._trace("broadcast", node.id, -1, 0, detail)
+        self._schedule(node.tx_end, self._on_broadcast_arrive, node.id, row)
         return True
 
-    def _on_broadcast_arrive(self, sender_id: int, hdr: DataReqHeader) -> None:
+    def _on_broadcast_arrive(self, sender_id: int, row: FitEntry) -> None:
         """Deliver one broadcast to the sender's alive neighbours, ascending."""
         nodes = self.nodes
         rx_cost = self._rx_cost
@@ -604,10 +601,10 @@ class Simulation:
             if not node.alive or not self._debit(node, rx_cost):
                 continue
             old_hop = node.fit.self_hop
-            node.fit, action = apply_data_req(node.fit, hdr)
+            node.fit, action = apply_data_req(node.fit, row)
             assert node.fit.self_hop <= old_hop, "hop estimate must never worsen"
             if tracing:
-                self._trace("flood_rx", sender_id, node_id, hdr.query_id, action.value)
+                self._trace("flood_rx", sender_id, node_id, 0, action.value)
             wants_rebroadcast = action is FloodAction.UPDATED_AND_REBROADCAST or (
                 action is FloodAction.RECORDED_AND_REBROADCAST
                 and not node.has_broadcast
@@ -618,7 +615,7 @@ class Simulation:
                 and node.fit.self_hop < HOP_INF
             ):
                 node.flood_pending = True
-                self._enqueue_tx(node, hdr.query_id)
+                self._enqueue_tx(node, None)
 
     # ------------------------------------------------------------------
     # failures
@@ -913,14 +910,10 @@ class Simulation:
     # results
 
     def metrics(self) -> RunMetrics:
-        delivered = [c for c in self.copies if c.delivered]
         return RunMetrics(
             qos=self.qos,
             config=self.config,
             total_energy_dissipated=self.dissipated,
-            replies_sent=len(self.copies),
-            replies_delivered=len(delivered),
-            latencies=tuple(c.latency for c in delivered),
             copies=tuple(self.copies),
             failed_nodes=self.failed_nodes,
             sources=self.sources,
@@ -949,7 +942,7 @@ def simulate_query_round(
         config, qos, topology=topology, collect_trace=collect_trace, flood=flood
     )
     if flood is None:
-        sim.run_flood(query_id=0)
+        sim.run_flood()
     sim.inject_failures()
     sim.deliver_replies()
     return sim.metrics()
@@ -959,22 +952,13 @@ def flood_state(config: SimConfig, qos: QosClass, topology: Topology) -> FloodSt
     """Flood ``topology`` once at ``qos``'s range; any class at that range
     and any failure fraction can start from the result."""
     sim = Simulation(config, qos, topology=topology)
-    sim.run_flood(query_id=0)
+    sim.run_flood()
     return FloodState(
         active_range=sim.active_range,
         now=sim.now,
         dissipated=sim.dissipated,
         flood_broadcasts=sim.flood_broadcasts,
-        nodes=tuple(
-            FloodNode(
-                node.energy,
-                node.alive,
-                node.fit.self_hop,
-                node.fit.self_energy,
-                tuple(node.fit.entries.values()),
-            )
-            for node in sim.nodes
-        ),
+        nodes=tuple(FloodNode(node.energy, node.alive, node.fit) for node in sim.nodes),
     )
 
 

@@ -86,7 +86,7 @@ def test_criterion_1_flood_equals_bfs_oracle():
         config = SimConfig(n=50, side=70.0, seed=seed)
         sim = Simulation(config, QosClass.NORMAL)
         started = time.perf_counter()
-        sim.run_flood(0)
+        sim.run_flood()
         elapsed = time.perf_counter() - started
         oracle = bfs_hops(sim.topology, SINK, config.short_range)
         assert [node.fit.self_hop for node in sim.nodes] == oracle
@@ -126,7 +126,13 @@ def test_criterion_3_latency_ordering(energy_latency_runs):
 
 def test_criterion_4_reliable_class_delivery_guarantee(failure_runs):
     """Reliable class delivers a source iff the source is connected to the
-    sink in the alive 15 m graph (breadth-first search is the oracle)."""
+    sink in the alive 15 m graph (breadth-first search is the oracle).
+
+    The guarantee holds under three conditions, which this grid meets:
+    dispatch needs ``e_init >= e_threshold`` (every FIT row advertises the
+    initial battery); relays that die of battery end copies
+    ``sender_died``; and the 4n TTL can cut a Tarry walk short.
+    """
     delivered_total = severed_total = 0
     violating = []
     for n in ACCEPT_FAILURE_SIZES:

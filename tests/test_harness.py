@@ -190,8 +190,9 @@ class TestSharedFlood:
         assert len(runs) == 32
         for (qos, n, fraction, seed), shared in runs.items():
             alone = simulate_query_round(sim_config(scn, n, fraction, seed), qos)
-            # Dataclass equality compares every field: dissipation, latencies,
-            # hop counts, residual energy and each copy's whole record.
+            # Dataclass equality compares every field: dissipation, hop
+            # counts, residual energy and each copy's whole record, which the
+            # reply counts and latencies are read from.
             assert shared == alone
 
 

@@ -1,4 +1,4 @@
-"""Table types, flood update rules and header checks."""
+"""Table types, flood update rules and advertised-row checks."""
 
 from dataclasses import replace
 
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from qwsn.protocol import (
     HOP_INF,
-    DataReqHeader,
     FitEntry,
     FloodAction,
     advert_from_fit,
@@ -19,14 +18,9 @@ from qwsn.protocol import (
 from qwsn.routing import remove_failed
 
 
-def hdr(sender, hop, energy=0.5, forwarders=(), query_id=0):
-    return DataReqHeader(
-        query_id=query_id,
-        sender_id=sender,
-        sender_energy=energy,
-        sender_hop=hop,
-        forwarders=forwarders,
-    )
+def row(sender, hop, energy=0.5, forwarders=()):
+    """The row ``sender`` advertises in its DATA_REQ."""
+    return FitEntry(neighbor=sender, energy=energy, hop=hop, forwarders=forwarders)
 
 
 class TestBootstrap:
@@ -45,7 +39,7 @@ class TestBootstrap:
 class TestApplyDataReq:
     def test_first_packet_from_sink(self):
         fit = fit_bootstrap(7)
-        out, action = apply_data_req(fit, hdr(0, 0))
+        out, action = apply_data_req(fit, row(0, 0))
         assert out.self_hop == 1
         assert action is FloodAction.UPDATED_AND_REBROADCAST
         assert out.entries[0].hop == 0
@@ -53,7 +47,7 @@ class TestApplyDataReq:
     def test_equal_distance_recorded(self):
         fit = fit_bootstrap(7)
         fit.self_hop = 4
-        out, action = apply_data_req(fit, hdr(3, 3))
+        out, action = apply_data_req(fit, row(3, 3))
         assert action is FloodAction.RECORDED_AND_REBROADCAST
         assert out.self_hop == 4
         assert 3 in out.entries
@@ -61,7 +55,7 @@ class TestApplyDataReq:
     def test_farther_sender_dropped_but_recorded(self):
         fit = fit_bootstrap(7)
         fit.self_hop = 2
-        out, action = apply_data_req(fit, hdr(9, 5))
+        out, action = apply_data_req(fit, row(9, 5))
         assert action is FloodAction.DROPPED
         assert out.self_hop == 2
         assert out.entries[9].hop == 5
@@ -69,20 +63,20 @@ class TestApplyDataReq:
     def test_upsert_refreshes_fields(self):
         fit = fit_bootstrap(7)
         fit.entries[3] = FitEntry(neighbor=3, energy=0.5, hop=4, forwarders=(1,))
-        header = hdr(3, 2, energy=0.4, forwarders=(2,))
-        fit, _ = apply_data_req(fit, header)
+        advert = row(3, 2, energy=0.4, forwarders=(2,))
+        fit, _ = apply_data_req(fit, advert)
         e = fit.entries[3]
         assert (e.hop, e.energy, e.forwarders) == (2, 0.4, (2,))
-        # every receiver of one header stores the header's one row
-        assert e is header.fit_row
+        # every receiver of one broadcast stores the advertised row itself
+        assert e is advert
 
     def test_own_packet_rejected(self):
         with pytest.raises(ValueError):
-            apply_data_req(fit_bootstrap(7), hdr(7, 1))
+            apply_data_req(fit_bootstrap(7), row(7, 1))
 
     def test_negative_hop_rejected_by_header(self):
         with pytest.raises(ValueError):
-            hdr(3, -1)
+            row(3, -1)
 
     @given(
         start_hop=st.sampled_from([1, 4, HOP_INF]),
@@ -107,16 +101,16 @@ class TestApplyDataReq:
         expected = replace(
             fit, self_hop=min(start_hop, sender_hop + 1), entries=rows
         )
-        out, _ = apply_data_req(fit, hdr(sender, sender_hop))
+        out, _ = apply_data_req(fit, row(sender, sender_hop))
         assert out is fit
         assert out == expected
 
     def test_unreachable_sender_cannot_improve_anyone(self):
-        # a header carrying the sentinel clamps instead of wrapping the
+        # an advert carrying the sentinel clamps instead of wrapping the
         # 16-bit hop field
         fit = fit_bootstrap(7)
         fit.self_hop = 2
-        out, action = apply_data_req(fit, hdr(3, HOP_INF))
+        out, action = apply_data_req(fit, row(3, HOP_INF))
         assert action is FloodAction.DROPPED
         assert out.self_hop == 2
         assert out.entries[3].hop == HOP_INF
@@ -129,7 +123,7 @@ class TestApplyDataReq:
         fit = fit_bootstrap(42)
         seen = fit.self_hop
         for i, h in enumerate(hops):
-            fit, _ = apply_data_req(fit, hdr(i, h))
+            fit, _ = apply_data_req(fit, row(i, h))
             assert fit.self_hop <= seen
             seen = fit.self_hop
 
@@ -145,8 +139,8 @@ class TestApplyDataReq:
     def test_one_entry_per_neighbor(self, hops):
         fit = fit_bootstrap(99)
         for sender, h in hops.items():
-            fit, _ = apply_data_req(fit, hdr(sender, h))
-            fit, _ = apply_data_req(fit, hdr(sender, h))
+            fit, _ = apply_data_req(fit, row(sender, h))
+            fit, _ = apply_data_req(fit, row(sender, h))
         assert set(fit.entries) == set(hops)
 
 
@@ -176,7 +170,7 @@ class TestHopOrder:
         for step in steps:
             if step[0] == "apply":
                 _, sender, hop, energy = step
-                fit, _ = apply_data_req(fit, hdr(sender, hop, energy=energy))
+                fit, _ = apply_data_req(fit, row(sender, hop, energy=energy))
             elif step[0] == "remove":
                 parent = fit
                 fit = remove_failed(fit, step[1])
@@ -192,7 +186,7 @@ class TestHopOrder:
     def test_copy_does_not_carry_the_parents_order(self):
         fit = fit_bootstrap(0)
         for sender, hop, energy in ((1, 1, 0.5), (2, 0, 0.05), (3, 2, 0.5)):
-            fit, _ = apply_data_req(fit, hdr(sender, hop, energy=energy))
+            fit, _ = apply_data_req(fit, row(sender, hop, energy=energy))
         assert [e.neighbor for e in fit.by_hop] == [2, 1, 3]
         assert [e.neighbor for e in remove_failed(fit, 2).by_hop] == [1, 3]
         assert [e.neighbor for e in prune_low_energy(fit, 0.1).by_hop] == [1, 3]
@@ -206,19 +200,17 @@ class TestAdvert:
         fit.self_hop = 3
         fit.self_energy = 0.25
         for sender, h in mapping.items():
-            fit, _ = apply_data_req(fit, hdr(sender, h))
+            fit, _ = apply_data_req(fit, row(sender, h))
         fit.self_hop = 3
         return fit
 
     def test_three_least_hop_neighbors(self):
         fit = self._fit_with({10: 1, 11: 1, 12: 2, 13: 3})
-        assert advert_from_fit(fit, 5) == hdr(
-            99, 3, energy=0.25, forwarders=(10, 11, 12), query_id=5
-        )
+        assert advert_from_fit(fit) == row(99, 3, energy=0.25, forwarders=(10, 11, 12))
 
     def test_degenerate_single_neighbor(self):
         fit = self._fit_with({10: 2})
-        assert advert_from_fit(fit, 0).forwarders == (10,)
+        assert advert_from_fit(fit).forwarders == (10,)
 
     def test_tie_break_lowest_ids(self):
         # all at equal hop: lowest three ids, regardless of arrival order
@@ -228,17 +220,17 @@ class TestAdvert:
             fit = fit_bootstrap(99)
             fit.self_hop = 2
             for sender in order:
-                fit, _ = apply_data_req(fit, hdr(sender, 1))
+                fit, _ = apply_data_req(fit, row(sender, 1))
             fit.self_hop = 2
-            assert advert_from_fit(fit, 0).forwarders == (11, 12, 13)
+            assert advert_from_fit(fit).forwarders == (11, 12, 13)
 
     def test_unreachable_node_cannot_advertise(self):
         with pytest.raises(ValueError):
-            advert_from_fit(fit_bootstrap(7), 0)
+            advert_from_fit(fit_bootstrap(7))
 
     def test_forwarders_are_known_entries(self):
         fit = self._fit_with({5: 1, 6: 2, 7: 2, 8: 4})
-        advert = advert_from_fit(fit, 0)
+        advert = advert_from_fit(fit)
         assert set(advert.forwarders) <= set(fit.entries)
 
 
@@ -246,7 +238,7 @@ class TestPrune:
     def _fit_with_energy(self, mapping):
         fit = fit_bootstrap(99)
         for sender, energy in mapping.items():
-            fit, _ = apply_data_req(fit, hdr(sender, 1, energy=energy))
+            fit, _ = apply_data_req(fit, row(sender, 1, energy=energy))
         return fit
 
     def test_below_threshold_removed(self):
@@ -277,15 +269,19 @@ class TestPrune:
 class TestHeaderValidation:
     def test_forwarders_distinct(self):
         with pytest.raises(ValueError):
-            hdr(1, 0, forwarders=(2, 2))
+            row(1, 0, forwarders=(2, 2))
 
     def test_forwarders_exclude_sender(self):
         with pytest.raises(ValueError):
-            hdr(1, 0, forwarders=(1,))
+            row(1, 0, forwarders=(1,))
 
     def test_at_most_three_forwarders(self):
         with pytest.raises(ValueError):
-            hdr(1, 0, forwarders=(2, 3, 4, 5))
+            row(1, 0, forwarders=(2, 3, 4, 5))
+
+    def test_neighbor_id_range(self):
+        with pytest.raises(ValueError):
+            row(2**32, 0)
 
     def test_entry_hop_range(self):
         with pytest.raises(ValueError):

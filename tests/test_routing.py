@@ -17,6 +17,7 @@ from oracles import (
     oracle_paths_delay_reliable,
     oracle_primary_reliable,
 )
+from qwsn.protocol import prune_low_energy
 from qwsn.routing import (
     Pct,
     Rationale,
@@ -404,6 +405,7 @@ class TestRemoveFailed:
         fit = make_fit([entry(1, hop=1), entry(2, hop=2)])
         snapshot = copy.deepcopy(fit)
         remove_failed(fit, 1)
+        prune_low_energy(fit, 1.5)
         next_hop_normal(fit)
         next_hop_delay(fit, waits({1: 0, 2: 0}))
         assert fit == snapshot

@@ -2,7 +2,7 @@
 
 import copy
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -148,7 +148,7 @@ class TestFlood:
     def test_line_flood_hand_trace(self):
         # one broadcast from the sink plus one per node that learns a hop
         sim = Simulation(line_config(), QosClass.NORMAL, topology=line_topology())
-        sim.run_flood(0)
+        sim.run_flood()
         assert [n.fit.self_hop for n in sim.nodes] == [0, 1, 2]
         assert sim.flood_broadcasts == 3
         # the middle node knows both ends, the sink learned its neighbour
@@ -159,7 +159,7 @@ class TestFlood:
     def test_flood_matches_bfs_oracle(self, seed):
         cfg = line_config(n=50, side=70.0, seed=seed)
         sim = Simulation(cfg, QosClass.NORMAL)
-        sim.run_flood(0)
+        sim.run_flood()
         assert [n.fit.self_hop for n in sim.nodes] == bfs_hops(
             sim.topology, SINK, cfg.short_range
         )
@@ -172,7 +172,7 @@ class TestFlood:
     def test_flood_at_long_range_for_delay_classes(self):
         cfg = line_config(n=40, side=60.0, seed=5)
         sim = Simulation(cfg, QosClass.DELAY)
-        sim.run_flood(0)
+        sim.run_flood()
         assert [n.fit.self_hop for n in sim.nodes] == bfs_hops(
             sim.topology, SINK, cfg.long_range
         )
@@ -180,7 +180,7 @@ class TestFlood:
     def test_dead_node_neither_learns_nor_relays(self):
         sim = Simulation(line_config(), QosClass.NORMAL, topology=line_topology())
         sim.nodes[1].alive = False
-        sim.run_flood(0)
+        sim.run_flood()
         assert sim.nodes[1].fit.entries == {}
         assert sim.nodes[1].fit.self_hop == HOP_INF
         assert sim.nodes[2].fit.self_hop == HOP_INF  # cut off behind the dead relay
@@ -188,7 +188,7 @@ class TestFlood:
     def test_sink_is_externally_powered(self):
         cfg = line_config(n=20, side=25.0, seed=2, e_init=2e-4)
         sim = Simulation(cfg, QosClass.NORMAL)
-        sim.run_flood(0)
+        sim.run_flood()
         assert sim.nodes[SINK].energy == cfg.e_init
         assert sim.nodes[SINK].alive
 
@@ -200,7 +200,7 @@ class TestFlood:
             sim = Simulation(cfg, QosClass.NORMAL)
         except TopologyUnconnectable:
             return
-        sim.run_flood(0)
+        sim.run_flood()
         assert [n.fit.self_hop for n in sim.nodes] == bfs_hops(
             sim.topology, SINK, cfg.short_range
         )
@@ -211,7 +211,7 @@ class TestFlood:
         # arrive in wavefront order, so the flood costs one broadcast per node
         cfg = line_config(n=50, side=70.0, seed=seed)
         sim = Simulation(cfg, QosClass.NORMAL)
-        sim.run_flood(0)
+        sim.run_flood()
         assert sim.flood_broadcasts == cfg.n
 
     @pytest.mark.parametrize("qos", [QosClass.NORMAL, QosClass.DELAY])
@@ -225,7 +225,7 @@ class TestFlood:
         for node_id in rng.choice(np.arange(1, cfg.n), size=8, replace=False):
             sim.nodes[int(node_id)].alive = False
         alive = [node.alive for node in sim.nodes]
-        sim.run_flood(0)
+        sim.run_flood()
         trace = sim._trace_lines
         assert not any(line[1] == "node_died" for line in trace)
         # consecutive flood_rx lines with one (time, sender) form one block
@@ -255,7 +255,7 @@ class TestFlood:
     def test_replies_leave_every_fit_row_unchanged(self, seed, qos):
         cfg = line_config(n=50, side=70.0, seed=seed, failure_fraction=0.2)
         sim = Simulation(cfg, qos)
-        sim.run_flood(0)
+        sim.run_flood()
         receiver = sim.nodes[1]
         # receivers of one broadcast store the same row for its sender
         assert any(
@@ -301,7 +301,7 @@ def pocket_simulation():
     )
     cfg = SimConfig(n=len(positions), side=50.0, seed=0)
     sim = Simulation(cfg, QosClass.RELIABLE, topology=Topology(positions))
-    sim.run_flood(0)
+    sim.run_flood()
     assert [sim.nodes[i].fit.self_hop for i in (3, 5)] == [3, 4]
     for dead in (1, 11):
         sim.nodes[dead].alive = False
@@ -312,7 +312,7 @@ class TestWaitRanking:
     def test_delay_decision_follows_queue_changes_between_decisions(self):
         cfg = line_config(n=4, short_range=10.0, long_range=15.0)
         sim = Simulation(cfg, QosClass.DELAY, topology=diamond_topology())
-        sim.run_flood(0)
+        sim.run_flood()
         source = sim.nodes[3]
         assert {n: e.hop for n, e in source.fit.entries.items()} == {1: 1, 2: 1}
         copy = sim._new_copy(3, 0, 0, None, None)
@@ -332,7 +332,7 @@ class TestUnicastWithAck:
     def test_alive_receiver_delivers_with_one_hop_delay(self):
         cfg = line_config()
         sim = Simulation(cfg, QosClass.RELIABLE, topology=line_topology())
-        sim.run_flood(0)
+        sim.run_flood()
         copy = sim.deliver_replies([1])[0]
         assert copy.delivered
         assert copy.path == [1, 0]
@@ -343,7 +343,7 @@ class TestUnicastWithAck:
         sim = Simulation(
             cfg, QosClass.RELIABLE, topology=line_topology(), collect_trace=True
         )
-        sim.run_flood(0)
+        sim.run_flood()
         sim.nodes[1].alive = False
         start = sim.now
         (copy,) = sim.deliver_replies([2])
@@ -366,7 +366,7 @@ class TestUnicastWithAck:
         positions = np.array([[10.0 * i, 0.0] for i in range(cfg.n)])
         topology = Topology(positions)
         sim = Simulation(cfg, QosClass.RELIABLE, topology=topology, collect_trace=True)
-        sim.run_flood(0)
+        sim.run_flood()
         victim = case + 1
         sender = victim + 1
         sim.nodes[victim].alive = False
@@ -387,7 +387,7 @@ class TestOverhearing:
         cfg = line_config(n=5, side=20.0)
         topology = Topology(positions)
         sim = Simulation(cfg, QosClass.RELIABLE, topology=topology, collect_trace=True)
-        sim.run_flood(0)
+        sim.run_flood()
         relay = sim.nodes[3]
         # too little charge to receive a reply: relay 3 dies on its first one
         relay.energy = rx_energy(cfg.packet_bits, cfg.e_elec) / 2
@@ -471,7 +471,7 @@ class TestPctWrites:
         # the third copy finds both sink-ward relays already on its path
         cfg = line_config(n=4, short_range=10.0, long_range=15.0)
         sim = Simulation(cfg, QosClass.DELAY_RELIABLE, topology=diamond_topology())
-        sim.run_flood(0)
+        sim.run_flood()
         rationales = check_pct_writes(sim)
         batch = sim.deliver_replies([3])
         assert all(c.delivered for c in batch)
@@ -481,7 +481,7 @@ class TestPctWrites:
     def test_dispatch_records_every_first_hop(self, qos):
         cfg = line_config(n=4, short_range=12.0, long_range=15.0)
         sim = Simulation(cfg, qos, topology=diamond_topology())
-        sim.run_flood(0)
+        sim.run_flood()
         check_pct_writes(sim)
         copies = sim.deliver_replies([3])
         assert {c.path[1] for c in copies} == {1, 2}
@@ -496,7 +496,7 @@ def ring_simulation(n):
     positions = 10.0 + 10.0 * np.column_stack([np.cos(angles), np.sin(angles)])
     cfg = line_config(n=n, side=20.0, short_range=5.0, long_range=10.0)
     sim = Simulation(cfg, QosClass.DELAY_RELIABLE, topology=Topology(positions))
-    sim.run_flood(0)
+    sim.run_flood()
     assert [node.fit.self_hop for node in sim.nodes] == [
         min(k, n - k) for k in range(n)
     ]
@@ -617,7 +617,7 @@ def star_relay_simulation():
     )
     cfg = line_config(n=5)
     sim = Simulation(cfg, QosClass.RELIABLE, topology=Topology(positions))
-    sim.run_flood(0)
+    sim.run_flood()
     assert [sim.nodes[i].fit.self_hop for i in range(5)] == [0, 1, 1, 1, 2]
     return sim
 
@@ -656,7 +656,7 @@ class TestPctRound:
             seed=1,
         )
         sim = Simulation(cfg, QosClass.DELAY_RELIABLE)
-        sim.run_flood(0)
+        sim.run_flood()
         reads, blocked = shadow_pcts(sim, monkeypatch)
         sim.inject_failures()
         alive = {node.id for node in sim.nodes if node.alive}
@@ -682,7 +682,7 @@ class TestPctReplay:
                 for seed in range(4):
                     cfg = SimConfig(n=n, seed=seed, failure_fraction=failure)
                     sim = Simulation(cfg, qos)
-                    sim.run_flood(0)
+                    sim.run_flood()
                     checked, found = shadow_pcts(sim, monkeypatch)
                     sim.inject_failures()
                     sim.deliver_replies()
@@ -722,14 +722,14 @@ class TestWaitingTime:
 class TestInjectFailures:
     def test_zero_fraction_is_noop(self):
         sim = Simulation(line_config(n=50, side=70.0, seed=0), QosClass.NORMAL)
-        sim.run_flood(0)
+        sim.run_flood()
         assert sim.inject_failures() == ()
         assert all(n.alive for n in sim.nodes)
 
     def test_count_is_floor_and_exemptions_hold(self):
         cfg = line_config(n=50, side=70.0, seed=1, failure_fraction=0.10)
         sim = Simulation(cfg, QosClass.NORMAL)
-        sim.run_flood(0)
+        sim.run_flood()
         failed = sim.inject_failures()
         assert len(failed) == 4  # floor(0.10 * 49)
         assert SINK not in failed
@@ -740,7 +740,7 @@ class TestInjectFailures:
         sims = []
         for _ in range(2):
             s = Simulation(cfg, QosClass.NORMAL)
-            s.run_flood(0)
+            s.run_flood()
             sims.append(s.inject_failures())
         assert sims[0] == sims[1]
 
@@ -749,7 +749,7 @@ class TestInjectFailures:
         sets = []
         for qos in QosClass:
             s = Simulation(cfg, qos)
-            s.run_flood(0)
+            s.run_flood()
             sets.append(s.inject_failures())
         assert len(set(sets)) == 1
 
@@ -758,7 +758,7 @@ class TestDeliverReplies:
     def test_line_normal_each_copy_two_hop_latency(self):
         cfg = line_config()
         sim = Simulation(cfg, QosClass.NORMAL, topology=line_topology())
-        sim.run_flood(0)
+        sim.run_flood()
         batch = sim.deliver_replies([2])
         assert [c.delivered for c in batch] == [True, True, True]
         for c in batch:
@@ -771,7 +771,7 @@ class TestDeliverReplies:
         topo = Topology(positions)
         cfg = SimConfig(n=4, side=12.0, seed=0)
         sim = Simulation(cfg, QosClass.RELIABLE, topology=topo)
-        sim.run_flood(0)
+        sim.run_flood()
         sim.nodes[1].alive = False
         batch = sim.deliver_replies([3])
         delivered = [c for c in batch if c.delivered]
@@ -798,7 +798,7 @@ class TestDeliverReplies:
     def test_zero_ttl_drops_but_counts_as_sent(self):
         cfg = line_config(ttl=0)
         sim = Simulation(cfg, QosClass.NORMAL, topology=line_topology())
-        sim.run_flood(0)
+        sim.run_flood()
         batch = sim.deliver_replies([2])
         m = sim.metrics()
         assert m.replies_sent == 3
@@ -810,7 +810,7 @@ class TestDeliverReplies:
         # no failures: realized first hops equal the dispatched path set
         cfg = line_config(n=50, side=70.0, seed=4)
         sim = Simulation(cfg, qos)
-        sim.run_flood(0)
+        sim.run_flood()
         fits = {s: sim.nodes[s].fit for s in sim.sources}
         batch = sim.deliver_replies()
         expected_paths = 3 if qos is QosClass.RELIABLE else 2
@@ -903,19 +903,56 @@ class TestSimulateQueryRound:
             simulate_query_round(SimConfig(n=2, side=5000.0, seed=0), QosClass.NORMAL)
 
 
+class TestDispatchThreshold:
+    def test_reliable_sends_nothing_below_the_energy_threshold(self):
+        """A known limit: one flood per run makes every FIT row advertise
+        ``e_init``, so with ``e_init < e_threshold`` the reliable class finds
+        no first hop and loses connected sources; the hybrid has no
+        threshold."""
+        cfg = SimConfig(n=50, side=70.0, seed=0, e_init=0.005)
+        assert cfg.e_init < cfg.e_threshold
+        reliable = simulate_query_round(cfg, QosClass.RELIABLE)
+        hops = bfs_hops(build_topology(cfg), SINK, cfg.short_range)
+        assert all(hops[src] < HOP_INF for src in reliable.sources)
+        assert len(reliable.copies) == 9
+        assert all(c.drop_reason == "no_route" for c in reliable.copies)
+        hybrid = simulate_query_round(cfg, QosClass.DELAY_RELIABLE)
+        assert hybrid.replies_delivered == 9
+
+
 class TestFloodState:
     def test_restored_tables_are_the_runs_own(self):
-        cfg = line_config(n=40, side=60.0, seed=5, failure_fraction=0.1)
+        """Runs restored from one flood share its tables and leave them as
+        they were, with ack timeouts and battery deaths on the way."""
+        cfg = line_config(n=40, side=60.0, seed=5, e_init=1e-3, e_threshold=2e-5)
         topology = build_topology(cfg)
-        state = flood_state(cfg, QosClass.RELIABLE, topology)
-        pristine = copy.deepcopy(state)
-        mutated = Simulation(cfg, QosClass.RELIABLE, topology=topology, flood=state)
-        for node in mutated.nodes:
-            node.fit.entries.clear()
-            node.fit.self_hop = HOP_INF
-        assert state == pristine
-        restored = simulate_query_round(cfg, QosClass.RELIABLE, topology, flood=state)
-        assert restored == simulate_query_round(cfg, QosClass.RELIABLE, topology)
+        copied = died = 0
+        for pair in (
+            (QosClass.NORMAL, QosClass.RELIABLE),
+            (QosClass.DELAY, QosClass.DELAY_RELIABLE),
+        ):
+            state = flood_state(cfg, pair[0], topology)
+            pristine = copy.deepcopy(state)
+            for qos in pair:
+                for fraction in (0.0, 0.3):
+                    run_cfg = replace(cfg, failure_fraction=fraction)
+                    sim = Simulation(run_cfg, qos, topology=topology, flood=state)
+                    with pytest.raises(RuntimeError):
+                        sim.run_flood()
+                    sim.inject_failures()
+                    sim.deliver_replies()
+                    for node, saved in zip(sim.nodes, state.nodes):
+                        # a table is shared until an ack timeout copies it
+                        copied += node.fit is not saved.fit
+                        died += node.energy == 0.0 and saved.energy > 0.0
+                    assert sim.metrics() == simulate_query_round(run_cfg, qos, topology)
+            assert state == pristine
+        assert copied > 0
+        assert died > 0
+        flooded = Simulation(cfg, QosClass.NORMAL, topology=topology)
+        flooded.run_flood()
+        with pytest.raises(RuntimeError):
+            flooded.run_flood()
 
     def test_state_of_another_range_is_refused(self):
         cfg = line_config(n=40, side=60.0, seed=5)
