@@ -18,6 +18,7 @@ seed) regardless of execution order.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field, fields, replace
@@ -265,6 +266,10 @@ def metrics_row(metrics: RunMetrics) -> MetricsRow:
     )
 
 
+# The per-run metrics a MeanRow averages, in column order.
+_METRICS = ("avg_dissipated_energy_j", "avg_latency_s", "delivery_probability")
+
+
 @dataclass(frozen=True)
 class MeanRow:
     qos: QosClass
@@ -304,68 +309,41 @@ def run_sweep(scenario: ScenarioConfig, keep_runs: bool = False) -> MetricsTable
     seed) order.  Unconnectable cells are recorded under ``skipped`` and
     never abort the sweep.
     """
-    rows: dict[tuple[QosClass, int, float, int], MetricsRow | None] = {}
+    rows: dict[tuple[QosClass, int, float, int], MetricsRow] = {}
     kept: dict[tuple[QosClass, int, float, int], RunMetrics] = {}
     for n in scenario.sizes:
         for seed in scenario.seeds:
             try:
                 topology = build_topology(sim_config(scenario, n, 0.0, seed))
             except TopologyUnconnectable:
-                topology = None
+                continue
             floods: dict[float, FloodState] = {}
-            for qos in scenario.qos:
-                for fraction in scenario.failures:
-                    key = (qos, n, fraction, seed)
-                    rows[key] = None
-                    if topology is None:
-                        continue
-                    config = sim_config(scenario, n, fraction, seed)
-                    radio = active_range(config, qos)
-                    if radio not in floods:
-                        floods[radio] = flood_state(config, qos, topology)
-                    metrics = simulate_query_round(
-                        config, qos, topology=topology, flood=floods[radio]
-                    )
-                    rows[key] = metrics_row(metrics)
-                    if keep_runs:
-                        kept[key] = metrics
+            for qos, fraction in itertools.product(scenario.qos, scenario.failures):
+                config = sim_config(scenario, n, fraction, seed)
+                radio = active_range(config, qos)
+                if radio not in floods:
+                    floods[radio] = flood_state(config, qos, topology)
+                metrics = simulate_query_round(
+                    config, qos, topology=topology, flood=floods[radio]
+                )
+                key = (qos, n, fraction, seed)
+                rows[key] = metrics_row(metrics)
+                if keep_runs:
+                    kept[key] = metrics
             del topology, floods
     table = MetricsTable()
-    for qos in scenario.qos:
-        for n in scenario.sizes:
-            for fraction in scenario.failures:
-                group = []
-                for seed in scenario.seeds:
-                    key = (qos, n, fraction, seed)
-                    row = rows[key]
-                    if row is None:
-                        table.skipped.append(key)
-                        continue
-                    group.append(row)
-                    if keep_runs:
-                        table.runs[key] = kept[key]
-                if not group:
-                    continue
-                table.rows.extend(group)
-                table.means.append(
-                    MeanRow(
-                        qos=qos,
-                        n=n,
-                        failure_fraction=fraction,
-                        avg_dissipated_energy_j=_mean(
-                            [r.avg_dissipated_energy_j for r in group]
-                        ),
-                        avg_latency_s=_mean([r.avg_latency_s for r in group]),
-                        delivery_probability=_mean(
-                            [r.delivery_probability for r in group]
-                        ),
-                    )
-                )
+    for qos, n, fraction in itertools.product(
+        scenario.qos, scenario.sizes, scenario.failures
+    ):
+        keys = [(qos, n, fraction, seed) for seed in scenario.seeds]
+        table.skipped.extend(key for key in keys if key not in rows)
+        table.runs.update((key, kept[key]) for key in keys if key in kept)
+        group = [rows[key] for key in keys if key in rows]
+        if group:
+            table.rows.extend(group)
+            means = (sum(getattr(r, m) for r in group) / len(group) for m in _METRICS)
+            table.means.append(MeanRow(qos, n, fraction, *means))
     return table
-
-
-def _mean(values: list[float]) -> float:
-    return sum(values) / len(values)
 
 
 def _f(value: float) -> str:

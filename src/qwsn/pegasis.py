@@ -206,7 +206,6 @@ def run_case4_lifetime(config: SimConfig, topology: Topology) -> LifetimeResult:
         if sim.dead_count >= dead_needed:
             break
         delivered += sim.run_reply_round(round_index=rounds)
-        sim.copies.clear()
         rounds += 1
     else:
         raise RuntimeError(f"lifetime run exceeded {_MAX_ROUNDS} rounds")

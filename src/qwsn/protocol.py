@@ -16,8 +16,9 @@ record of each reply copy, :class:`qwsn.sim.ReplyCopy`.
 Rows are frozen values.  A FIT itself is a node's own mutable table:
 :func:`apply_data_req` updates it in place, because every flood reception
 goes through it, and resets the table's cached hop order.  No other
-function changes a table: :func:`prune_low_energy` returns a filtered copy
-only when it drops a row, and otherwise its argument.
+function changes a table: :func:`remove_failed` and
+:func:`prune_low_energy` return a copy only when they drop a row, and
+otherwise their argument.
 """
 
 from __future__ import annotations
@@ -111,7 +112,10 @@ class Fit:
 
 
 class FloodAction(Enum):
-    """What a node did with one received DATA_REQ."""
+    """What a node did with one received DATA_REQ.  Only an update queues a
+    rebroadcast: a node has already queued or sent its broadcast at the hop
+    count a ``RECORDED_AND_REBROADCAST`` records, which keeps its name for
+    the trace."""
 
     UPDATED_AND_REBROADCAST = "updated_and_rebroadcast"
     RECORDED_AND_REBROADCAST = "recorded_and_rebroadcast"
@@ -143,8 +147,8 @@ def apply_data_req(fit: Fit, row: FitEntry) -> tuple[Fit, FloodAction]:
 
     * L+1 < H: the node found a shorter route; H becomes L+1 and the packet
       is rebroadcast.
-    * L+1 = H: an equally good route is recorded and the packet is (subject
-      to the engine's once-per-query bound) rebroadcast.
+    * L+1 = H: an equally good route is recorded; the node has already
+      queued or sent its broadcast at hop H, so nothing more is sent.
     * L+1 > H: the sender is further from the sink, so the packet is dropped.
     """
     if row.neighbor == fit.self_id:
@@ -185,3 +189,11 @@ def prune_low_energy(fit: Fit, e_threshold: float) -> Fit:
         return fit
     return replace(fit, entries=entries)
 
+
+def remove_failed(fit: Fit, neighbor: int) -> Fit:
+    """Delete a neighbour detected as failed; absent neighbours are no-ops."""
+    if neighbor not in fit.entries:
+        return fit
+    entries = dict(fit.entries)
+    del entries[neighbor]
+    return replace(fit, entries=entries)

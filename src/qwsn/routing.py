@@ -23,7 +23,7 @@ identical decisions regardless of insertion order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from typing import Callable
@@ -278,12 +278,3 @@ def next_hop_delay_reliable_intermediate(
         first=Rationale.MIN_WAIT,
         backtrack=False,
     )
-
-
-def remove_failed(fit: Fit, neighbor: int) -> Fit:
-    """Delete a neighbour detected as failed; absent neighbours are no-ops."""
-    if neighbor not in fit.entries:
-        return fit
-    entries = dict(fit.entries)
-    del entries[neighbor]
-    return replace(fit, entries=entries)

@@ -14,9 +14,11 @@ in strict ``(time, insertion order)`` order.  A run executes four phases:
 Events: each heap entry is ``(time, insertion order, handler, node, data)``
 and the drain calls ``handler(node, data)``.  A node's transmit queue holds
 its jobs as they are: the :class:`ReplyCopy` to forward, or ``None`` to
-rebroadcast the run's one query.  Only the flood changes a FIT in place;
-afterwards dropping a neighbour builds a new table (copy on write), so runs
-can share the tables a flood left.
+rebroadcast the run's one query, queued when the query lowers the node's
+hop count and none is queued yet.  An unfinished reply copy is in one place:
+a transmit queue, in flight, or awaiting an acknowledgement timeout.  Only
+the flood changes a FIT in place; afterwards dropping a neighbour builds a
+new table (copy on write), so runs can share the tables a flood left.
 
 Path construction tables (reliable classes): every alive neighbour of a
 reply's sender overhears it, a source records its dispatch's first hops,
@@ -63,6 +65,7 @@ from .protocol import (
     apply_data_req,
     fit_bootstrap,
     prune_low_energy,
+    remove_failed,
 )
 from .routing import (
     Pct,
@@ -76,7 +79,6 @@ from .routing import (
     paths_delay_reliable,
     pct_observe,
     primary_reliable,
-    remove_failed,
 )
 
 SINK = 0
@@ -278,10 +280,11 @@ class ReplyCopy:
     decreases at every successful handoff.
 
     ``forwarded`` maps a node id to the next hops that node has already used
-    for this copy; the reliable classes never reuse such an edge.  ``parent``
-    maps a node id to the neighbour that node first received this copy from;
-    the plain reliable class returns the copy there only once no unused edge
-    is left (Tarry's traversal).  The source has no parent.
+    for this copy, written as the copy leaves; the reliable classes never
+    reuse such an edge.  ``parent`` maps a node id to the neighbour that
+    node first received this copy from; the plain reliable class returns
+    the copy there only once no unused edge is left (Tarry's traversal).
+    The source has no parent.
 
     ``path`` lists the nodes that received the copy, so an attempt lost to a
     dead receiver adds nothing to it and counts in ``failures_seen`` instead.
@@ -320,7 +323,6 @@ class NodeState:
     tx_queue: deque = field(default_factory=deque)
     transmitting: bool = False
     tx_end: float = 0.0
-    has_broadcast: bool = False
     flood_pending: bool = False
 
     @property
@@ -360,12 +362,12 @@ class FloodState(NamedTuple):
 class RunMetrics:
     """Everything measured in one run.
 
-    ``copies`` holds the run's finished reply copies, which the reply counts
-    and latencies are read from.  Average energy is total dissipation over
-    replies delivered.  Delivery
-    probability is per source: the fraction of query sources whose response
-    survived to the sink in at least one copy, which is what the redundant
-    copies exist to ensure.
+    ``copies`` holds the finished reply copies of the run's last reply round,
+    which the reply counts and latencies are read from.  Average energy is
+    total dissipation over replies delivered.  Delivery probability is per
+    source: the fraction of query sources whose response survived to the
+    sink in at least one copy, which is what the redundant copies exist to
+    ensure.
     """
 
     qos: QosClass
@@ -532,7 +534,7 @@ class Simulation:
     def _flush_dead_queue(self, node: NodeState) -> None:
         while node.tx_queue:
             job = node.tx_queue.popleft()
-            if isinstance(job, ReplyCopy) and not job.done:
+            if job is not None:
                 self._finish_copy(job, delivered=False, reason="sender_died")
         node.transmitting = False
 
@@ -573,17 +575,18 @@ class Simulation:
         self._enqueue_tx(self.nodes[SINK], None)
         self._drain()
 
-    def _transmit_flood(self, node: NodeState) -> bool:
-        node.flood_pending = False
-        if node.fit.self_hop >= HOP_INF:
-            return False
-        if not self._debit(node, self._tx_cost_broadcast):
-            return False
-        row = advert_from_fit(node.fit)
-        node.has_broadcast = True
+    def _occupy_radio(self, node: NodeState) -> None:
+        """Start one service time of transmission; the queue resumes at its end."""
         node.transmitting = True
         node.tx_end = self.now + self.config.service_time
         self._schedule(node.tx_end, self._on_queue_service, node.id)
+
+    def _transmit_flood(self, node: NodeState) -> bool:
+        node.flood_pending = False
+        if not self._debit(node, self._tx_cost_broadcast):
+            return False
+        row = advert_from_fit(node.fit)
+        self._occupy_radio(node)
         self.flood_broadcasts += 1
         if self._trace_lines is not None:
             detail = f"hop={row.hop} energy={row.energy:.9f}"
@@ -605,15 +608,7 @@ class Simulation:
             assert node.fit.self_hop <= old_hop, "hop estimate must never worsen"
             if tracing:
                 self._trace("flood_rx", sender_id, node_id, 0, action.value)
-            wants_rebroadcast = action is FloodAction.UPDATED_AND_REBROADCAST or (
-                action is FloodAction.RECORDED_AND_REBROADCAST
-                and not node.has_broadcast
-            )
-            if (
-                wants_rebroadcast
-                and not node.flood_pending
-                and node.fit.self_hop < HOP_INF
-            ):
+            if action is FloodAction.UPDATED_AND_REBROADCAST and not node.flood_pending:
                 node.flood_pending = True
                 self._enqueue_tx(node, None)
 
@@ -648,10 +643,9 @@ class Simulation:
         batch: list[ReplyCopy] = []
         for src in sources if sources is not None else self.sources:
             batch.extend(self._dispatch_source(src))
-        self.copies.extend(batch)
+        self.copies = batch
         self._drain()
-        for copy in batch:
-            assert copy.done, "every reply copy must resolve"
+        assert all(copy.done for copy in batch), "every reply copy must resolve"
         return batch
 
     def _new_copy(
@@ -717,18 +711,9 @@ class Simulation:
         return copies
 
     def _route(self, node: NodeState, copy: ReplyCopy) -> RouteDecision | None:
-        if self.qos in _RELIABLE_CLASSES:
-            return self._route_reliable(node, copy)
-        prev = copy.prev_hop
-        excluded = frozenset() if prev is None else frozenset({prev})
-        if self.qos is QosClass.NORMAL:
-            return next_hop_normal(node.fit, excluded)
-        return next_hop_delay(node.fit, self._wait, excluded)
-
-    def _route_reliable(self, node: NodeState, copy: ReplyCopy) -> RouteDecision | None:
-        """Reliable-class forwarding: the staged selectors of
-        :mod:`qwsn.routing` choose, and the pick is recorded here once, in
-        ``forwarded`` and as the node's own row of the round's PCT.
+        """The next hop of a copy without a forced one.  For the reliable
+        classes the staged selectors of :mod:`qwsn.routing` choose, and the
+        pick is recorded here as the node's own row of the round's PCT.
 
         A node never forwards the same copy to the same neighbour twice (the
         copy's ``forwarded`` memory), which makes repair walks
@@ -741,6 +726,11 @@ class Simulation:
         and does not backtrack.
         """
         prev = copy.prev_hop
+        if self.qos not in _RELIABLE_CLASSES:
+            excluded = frozenset() if prev is None else frozenset({prev})
+            if self.qos is QosClass.NORMAL:
+                return next_hop_normal(node.fit, excluded)
+            return next_hop_delay(node.fit, self._wait, excluded)
         parent = copy.parent.get(node.id)
         tried = copy.forwarded.get(node.id, frozenset())
         if self.qos is QosClass.DELAY_RELIABLE:
@@ -753,13 +743,10 @@ class Simulation:
                 node.fit, self.pct, copy.src, prev, tried, parent, e_threshold=threshold
             )
         if decision is not None:
-            copy.forwarded.setdefault(node.id, set()).add(decision.next_hop)
             pct_observe(self.pct, decision.next_hop, copy.src, node.id)
         return decision
 
     def _transmit_reply(self, node: NodeState, copy: ReplyCopy) -> bool:
-        if copy.done:
-            return False
         if copy.latency_epoch is None:
             copy.latency_epoch = self.now
         if copy.ttl <= 0:
@@ -769,8 +756,6 @@ class Simulation:
             target = copy.forced_next
             copy.forced_next = None
             backtrack = False
-            if self.qos in _RELIABLE_CLASSES:
-                copy.forwarded.setdefault(node.id, set()).add(target)
         else:
             decision = self._route(node, copy)
             if decision is None:
@@ -780,6 +765,8 @@ class Simulation:
             backtrack = decision.rationale is Rationale.BACKTRACK
             if backtrack or decision.rationale is Rationale.FALLBACK:
                 copy.fallback_used = True
+        if self.qos in _RELIABLE_CLASSES:
+            copy.forwarded.setdefault(node.id, set()).add(target)
         if not self._debit(
             node,
             tx_energy(
@@ -789,12 +776,10 @@ class Simulation:
                 self.config.eps_amp,
             ),
         ):
+            # _on_queue_service flushes the rest of the dead sender's queue
             self._finish_copy(copy, delivered=False, reason="sender_died")
-            self._flush_dead_queue(node)
             return False
-        node.transmitting = True
-        node.tx_end = self.now + self.config.service_time
-        self._schedule(node.tx_end, self._on_queue_service, node.id)
+        self._occupy_radio(node)
         self._schedule(
             node.tx_end,
             self._on_unicast_arrive,
@@ -857,8 +842,7 @@ class Simulation:
             "ack_timeout", sender_id, failed_id, 0, "neighbor_removed"
         )
         if not sender.alive:
-            if not copy.done:
-                self._finish_copy(copy, delivered=False, reason="sender_died")
+            self._finish_copy(copy, delivered=False, reason="sender_died")
             return
         sender.fit = remove_failed(sender.fit, failed_id)
         copy.repairs += 1

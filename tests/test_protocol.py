@@ -14,8 +14,8 @@ from qwsn.protocol import (
     apply_data_req,
     fit_bootstrap,
     prune_low_energy,
+    remove_failed,
 )
-from qwsn.routing import remove_failed
 
 
 def row(sender, hop, energy=0.5, forwarders=()):

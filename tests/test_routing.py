@@ -17,7 +17,7 @@ from oracles import (
     oracle_paths_delay_reliable,
     oracle_primary_reliable,
 )
-from qwsn.protocol import prune_low_energy
+from qwsn.protocol import prune_low_energy, remove_failed
 from qwsn.routing import (
     Pct,
     Rationale,
@@ -30,7 +30,6 @@ from qwsn.routing import (
     paths_delay_reliable,
     pct_observe,
     primary_reliable,
-    remove_failed,
 )
 
 SRC, OTHER = 77, 78

@@ -2,6 +2,7 @@
 
 import copy
 import math
+from collections import Counter
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import qwsn.sim
 from oracles import reference_pct_observe
-from qwsn.protocol import HOP_INF, QosClass
+from qwsn.protocol import HOP_INF, FloodAction, QosClass
 from qwsn.routing import (
     Rationale,
     _pct_blocks,
@@ -918,6 +919,107 @@ class TestDispatchThreshold:
         assert all(c.drop_reason == "no_route" for c in reliable.copies)
         hybrid = simulate_query_round(cfg, QosClass.DELAY_RELIABLE)
         assert hybrid.replies_delivered == 9
+
+
+def check_engine_invariants(sim, actions, seen):
+    """Check, on ``sim``, the two facts the engine's unguarded paths rest on.
+
+    Every flood job but the sink's first is queued by a reception that
+    lowered the node's hop count (``actions`` maps a node to the action of
+    its latest DATA_REQ reception), and no reply copy that reaches a
+    transmit, a dead node's queue flush or an acknowledgement timeout is
+    finished.  ``seen`` counts the checked events by kind.
+    """
+    enqueue, transmit = sim._enqueue_tx, sim._transmit_reply
+    flush, timeout = sim._flush_dead_queue, sim._on_ack_timeout
+    flood_jobs = []
+
+    def checked_enqueue(node, job):
+        if job is None:
+            if flood_jobs:
+                assert actions[node.id] is FloodAction.UPDATED_AND_REBROADCAST
+            else:
+                assert node.id == SINK
+            flood_jobs.append(node.id)
+            seen["flood_jobs"] += 1
+        enqueue(node, job)
+
+    def checked_transmit(node, copy):
+        assert not copy.done
+        seen["transmits"] += 1
+        return transmit(node, copy)
+
+    def checked_flush(node):
+        copies = [job for job in node.tx_queue if job is not None]
+        assert not any(c.done for c in copies)
+        seen["flushed"] += len(copies)
+        flush(node)
+
+    def checked_timeout(sender_id, data):
+        assert not data[1].done
+        seen["dead_sender_timeouts"] += not sim.nodes[sender_id].alive
+        timeout(sender_id, data)
+
+    sim._enqueue_tx = checked_enqueue
+    sim._transmit_reply = checked_transmit
+    sim._flush_dead_queue = checked_flush
+    sim._on_ack_timeout = checked_timeout
+
+
+class TestEngineInvariants:
+    """The flood queues a broadcast only on a lowered hop count, and a reply
+    copy is finished only once it has left every queue, flight and
+    acknowledgement wait, on small random networks with small batteries."""
+
+    def test_flood_jobs_and_unfinished_copies(self, monkeypatch):
+        actions, seen = {}, Counter()
+        apply = qwsn.sim.apply_data_req
+
+        def recording_apply(fit, row):
+            result = apply(fit, row)
+            actions[fit.self_id] = result[1]
+            seen[result[1]] += 1
+            return result
+
+        monkeypatch.setattr(qwsn.sim, "apply_data_req", recording_apply)
+        rng = np.random.default_rng(25)
+        for seed in range(30):
+            n = int(rng.integers(5, 31))
+            cfg = SimConfig(
+                n=n,
+                side=10.0 * math.sqrt(n),
+                seed=seed,
+                e_init=float(rng.choice([2e-4, 5e-4, 1e-3, 3e-3])),
+                e_threshold=float(rng.choice([0.0, 1e-4, 3e-4])),
+                failure_fraction=float(rng.uniform(0.0, 0.5)),
+            )
+            for qos in QosClass:
+                try:
+                    sim = Simulation(cfg, qos)
+                except TopologyUnconnectable:
+                    continue
+                actions.clear()
+                check_engine_invariants(sim, actions, seen)
+                sim.run_flood()
+                sim.inject_failures()
+                sim.deliver_replies()
+        # several rounds of the plain reliable class on shared batteries
+        cfg = SimConfig(
+            n=30, side=55.0, seed=3, e_init=3e-3, e_threshold=1e-4, failure_fraction=0.2
+        )
+        sim = Simulation(cfg, QosClass.RELIABLE)
+        actions.clear()
+        check_engine_invariants(sim, actions, seen)
+        sim.run_flood()
+        sim.inject_failures()
+        for round_index in range(20):
+            sim.run_reply_round(round_index)
+        assert sim.dead_count > len(sim.failed_nodes)
+        # the deleted branches' situations all occurred
+        assert seen[FloodAction.RECORDED_AND_REBROADCAST] > 0
+        assert seen["flushed"] > 0
+        assert seen["dead_sender_timeouts"] > 0
+        assert seen["flood_jobs"] > 0 and seen["transmits"] > 0
 
 
 class TestFloodState:
