@@ -187,8 +187,10 @@ def run_case4_lifetime(config: SimConfig, topology: Topology) -> LifetimeResult:
     query is flooded once; afterwards each round redraws three sources
     among the survivors and delivers their reply copies with persistent
     batteries.  Per-round re-flooding would drown the comparison in
-    dissemination cost, so the converged tables are reused and repaired
-    through the acknowledgement mechanism as relays die.
+    dissemination cost, so the converged tables are reused as they are.
+    The hybrid class sends without acknowledgements, so nothing removes a
+    relay that has died from a table: a copy sent to a dead relay is lost
+    (``dead_next_hop``), and its sender still pays for the transmission.
     """
     sim = Simulation(
         config,

@@ -157,7 +157,8 @@ def apply_data_req(fit: Fit, row: FitEntry) -> tuple[Fit, FloodAction]:
     fit.entries[row.neighbor] = row
     fit._by_hop = None
 
-    candidate = min(row.hop + 1, HOP_INF)
+    hop = row.hop
+    candidate = hop + 1 if hop < HOP_INF else HOP_INF
     if candidate < fit.self_hop:
         fit.self_hop = candidate
         return fit, FloodAction.UPDATED_AND_REBROADCAST

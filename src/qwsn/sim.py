@@ -12,13 +12,14 @@ in strict ``(time, insertion order)`` order.  A run executes four phases:
 4. event drain, after which :meth:`Simulation.metrics` summarises the run.
 
 Events: each heap entry is ``(time, insertion order, handler, node, data)``
-and the drain calls ``handler(node, data)``.  A node's transmit queue holds
-its jobs as they are: the :class:`ReplyCopy` to forward, or ``None`` to
-rebroadcast the run's one query, queued when the query lowers the node's
-hop count and none is queued yet.  An unfinished reply copy is in one place:
-a transmit queue, in flight, or awaiting an acknowledgement timeout.  Only
-the flood changes a FIT in place; afterwards dropping a neighbour builds a
-new table (copy on write), so runs can share the tables a flood left.
+and the drain calls ``handler(node, data)``.  The heap carries the reply
+rounds only; the query flood is one breadth-first pass over hop levels
+(see the timing model) and pushes no event.  A node's transmit queue holds
+the :class:`ReplyCopy` objects it has to forward, and an unfinished reply
+copy is in one place: a transmit queue, in flight, or awaiting an
+acknowledgement timeout.  Only the flood changes a FIT in place; afterwards
+dropping a neighbour builds a new table (copy on write), so runs can share
+the tables a flood left.
 
 Path construction tables (reliable classes): every alive neighbour of a
 reply's sender overhears it, a source records its dispatch's first hops,
@@ -31,9 +32,14 @@ and so overheard, at every earlier arrival of the round.
 
 Timing model: every transmission (broadcast or unicast) occupies the
 sender's radio for one service time, so per-hop latency is the sender's
-queue wait plus the transmission delay.  A query broadcast is one event:
-when it arrives it is delivered to the sender's alive neighbours in
-ascending id order, each reception handled in full before the next.
+queue wait plus the transmission delay.  The flood runs alone and a node
+broadcasts the query once, on the reception that first gives it a hop
+count, so it goes in waves: the hop-h nodes broadcast at one instant, in
+the order their first receptions came, and every broadcast of a wave
+arrives one service time later.  A broadcast is delivered to the sender's
+alive neighbours in ascending id order, each reception handled in full
+before the next, so its receptions form one block at the wave's arrival
+time; the next wave's senders are the nodes those receptions gave a hop.
 Energy model: first-order radio,
 ``tx = e_elec*bits + eps_amp*bits*d^2`` and ``rx = e_elec*bits``; broadcasts
 transmit at the active range's power while unicasts spend amplifier energy
@@ -48,6 +54,7 @@ order.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, fields
 from heapq import heappop, heappush
@@ -58,7 +65,6 @@ import numpy as np
 from .protocol import (
     HOP_INF,
     Fit,
-    FitEntry,
     FloodAction,
     QosClass,
     advert_from_fit,
@@ -217,7 +223,12 @@ class Topology:
         if table is None:
             within = self._dist <= range_m
             np.fill_diagonal(within, False)
-            table = [tuple(np.flatnonzero(row).tolist()) for row in within]
+            # One nonzero lists the pairs row by row; each row ends where
+            # bisection over the row ids finds it (np.searchsorted in its
+            # place raised peak memory by about 0.1 MB).
+            rows, cols = (index.tolist() for index in np.nonzero(within))
+            ends = [bisect_left(rows, node) for node in range(1, self.n + 1)]
+            table = [tuple(cols[start:end]) for start, end in zip([0, *ends], ends)]
             self._neighbors[range_m] = table
         return table[node]
 
@@ -323,7 +334,6 @@ class NodeState:
     tx_queue: deque = field(default_factory=deque)
     transmitting: bool = False
     tx_end: float = 0.0
-    flood_pending: bool = False
 
     @property
     def queue_len(self) -> int:
@@ -525,17 +535,16 @@ class Simulation:
     # ------------------------------------------------------------------
     # transmit queue
 
-    def _enqueue_tx(self, node: NodeState, job: ReplyCopy | None) -> None:
-        """Queue a reply copy to forward, or ``None`` to rebroadcast the query."""
-        node.tx_queue.append(job)
+    def _enqueue_tx(self, node: NodeState, copy: ReplyCopy) -> None:
+        """Queue a reply copy for the node to forward."""
+        node.tx_queue.append(copy)
         if not node.transmitting:
             self._schedule(self.now, self._on_queue_service, node.id)
 
     def _flush_dead_queue(self, node: NodeState) -> None:
         while node.tx_queue:
-            job = node.tx_queue.popleft()
-            if job is not None:
-                self._finish_copy(job, delivered=False, reason="sender_died")
+            copy = node.tx_queue.popleft()
+            self._finish_copy(copy, delivered=False, reason="sender_died")
         node.transmitting = False
 
     def _on_queue_service(self, node_id: int, _data: None) -> None:
@@ -549,11 +558,7 @@ class Simulation:
             node.transmitting = False
         if not node.tx_queue:
             return
-        job = node.tx_queue.popleft()
-        if job is None:
-            started = self._transmit_flood(node)
-        else:
-            started = self._transmit_reply(node, job)
+        started = self._transmit_reply(node, node.tx_queue.popleft())
         if not node.alive:
             self._flush_dead_queue(node)
         elif not started and node.tx_queue:
@@ -563,7 +568,16 @@ class Simulation:
     # query flood
 
     def run_flood(self) -> None:
-        """Flood the run's one query (id 0) from the sink and run to quiescence.
+        """Flood the run's one query (id 0) from the sink, wave by wave.
+
+        A wave's senders broadcast at one instant, in the order they were
+        queued; one service time later each broadcast reaches the sender's
+        alive neighbours in ascending id order, and a reception that gives
+        its node a hop count queues that node for the next wave.  Every
+        advert of a wave carries the same hop count, so only a node's first
+        reception lowers its hop and it is queued once.  A sender that died
+        since it was queued, or cannot pay for the broadcast, sends nothing,
+        and the flood ends with a wave that sends nothing.
 
         A run floods once, on fresh tables, so every advert carries the
         initial battery level; a run that has flooded, or was restored from a
@@ -572,45 +586,44 @@ class Simulation:
         if self.flood_broadcasts > 0:
             raise RuntimeError("a run floods its query once")
         self._trace("query_start", SINK, -1, 0, "")
-        self._enqueue_tx(self.nodes[SINK], None)
-        self._drain()
+        nodes = self.nodes
+        tx_cost, rx_cost = self._tx_cost_broadcast, self._rx_cost
+        tracing = self._trace_lines is not None
+        senders = [nodes[SINK]]
+        while senders:
+            adverts = []
+            for node in senders:
+                if not node.alive or not self._debit(node, tx_cost):
+                    continue
+                row = advert_from_fit(node.fit)
+                adverts.append(row)
+                self.flood_broadcasts += 1
+                if tracing:
+                    detail = f"hop={row.hop} energy={row.energy:.9f}"
+                    self._trace("broadcast", node.id, -1, 0, detail)
+            if not adverts:
+                break
+            self.now = self.now + self.config.service_time
+            senders = []
+            for row in adverts:
+                sender_id = row.neighbor
+                for node_id in self.topology.neighbors(sender_id, self.active_range):
+                    node = nodes[node_id]
+                    if not node.alive or not self._debit(node, rx_cost):
+                        continue
+                    old_hop = node.fit.self_hop
+                    node.fit, action = apply_data_req(node.fit, row)
+                    assert node.fit.self_hop <= old_hop, "hop estimate must never worsen"
+                    if tracing:
+                        self._trace("flood_rx", sender_id, node_id, 0, action.value)
+                    if action is FloodAction.UPDATED_AND_REBROADCAST:
+                        senders.append(node)
 
     def _occupy_radio(self, node: NodeState) -> None:
         """Start one service time of transmission; the queue resumes at its end."""
         node.transmitting = True
         node.tx_end = self.now + self.config.service_time
         self._schedule(node.tx_end, self._on_queue_service, node.id)
-
-    def _transmit_flood(self, node: NodeState) -> bool:
-        node.flood_pending = False
-        if not self._debit(node, self._tx_cost_broadcast):
-            return False
-        row = advert_from_fit(node.fit)
-        self._occupy_radio(node)
-        self.flood_broadcasts += 1
-        if self._trace_lines is not None:
-            detail = f"hop={row.hop} energy={row.energy:.9f}"
-            self._trace("broadcast", node.id, -1, 0, detail)
-        self._schedule(node.tx_end, self._on_broadcast_arrive, node.id, row)
-        return True
-
-    def _on_broadcast_arrive(self, sender_id: int, row: FitEntry) -> None:
-        """Deliver one broadcast to the sender's alive neighbours, ascending."""
-        nodes = self.nodes
-        rx_cost = self._rx_cost
-        tracing = self._trace_lines is not None
-        for node_id in self.topology.neighbors(sender_id, self.active_range):
-            node = nodes[node_id]
-            if not node.alive or not self._debit(node, rx_cost):
-                continue
-            old_hop = node.fit.self_hop
-            node.fit, action = apply_data_req(node.fit, row)
-            assert node.fit.self_hop <= old_hop, "hop estimate must never worsen"
-            if tracing:
-                self._trace("flood_rx", sender_id, node_id, 0, action.value)
-            if action is FloodAction.UPDATED_AND_REBROADCAST and not node.flood_pending:
-                node.flood_pending = True
-                self._enqueue_tx(node, None)
 
     # ------------------------------------------------------------------
     # failures

@@ -5,13 +5,19 @@ translation of the selection procedure, written without reference to the
 package implementation.  They are deliberately naive (explicit loops,
 re-sorting at every step) so that agreement with the optimized selectors on
 exhaustively enumerated tables is meaningful evidence.
+
+:func:`reference_flood` is the query flood as a discrete-event run, every
+broadcast a queued job with its own radio service and arrival events; the
+engine's breadth-first pass must leave exactly what it leaves.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+import heapq
+from itertools import combinations, count, product
 
-from qwsn.protocol import Fit, FitEntry
+from qwsn.protocol import FloodAction, Fit, FitEntry, advert_from_fit, apply_data_req
+from qwsn.sim import SINK
 
 
 def make_fit(entries, self_id=99, self_hop=5):
@@ -447,3 +453,86 @@ def check_pct_selector_equivalence(max_size=3, e_threshold=0.01):
 
 def _outcome(decision):
     return None if decision is None else (decision.next_hop, decision.rationale.value)
+
+
+def reference_flood(sim):
+    """Flood ``sim``'s query as discrete events on the run's own state.
+
+    Events are ``(time, insertion order, handler, node, data)`` and pop in
+    that order.  A node queues its broadcast when a reception lowers its hop
+    count and none is queued; the queue service sends it, occupying the
+    radio for one service time, at whose end a radio-service event and the
+    broadcast's arrival event fall.  The arrival delivers the advert to the
+    sender's alive neighbours in ascending id order.  A dead node's queue is
+    flushed unsent.  Charges, kills and trace lines go through ``sim``.
+    """
+    heap, order = [], count()
+    queued = [0] * len(sim.nodes)
+    pending = [False] * len(sim.nodes)
+    transmitting = [False] * len(sim.nodes)
+    tx_end = [0.0] * len(sim.nodes)
+    service_time = sim.config.service_time
+
+    def schedule(time, handler, node_id, data=None):
+        assert time >= sim.now
+        heapq.heappush(heap, (time, next(order), handler, node_id, data))
+
+    def enqueue(node_id):
+        queued[node_id] += 1
+        if not transmitting[node_id]:
+            schedule(sim.now, on_queue_service, node_id)
+
+    def transmit(node):
+        pending[node.id] = False
+        if not sim._debit(node, sim._tx_cost_broadcast):
+            return False
+        row = advert_from_fit(node.fit)
+        transmitting[node.id] = True
+        tx_end[node.id] = sim.now + service_time
+        schedule(tx_end[node.id], on_queue_service, node.id)
+        sim.flood_broadcasts += 1
+        detail = f"hop={row.hop} energy={row.energy:.9f}"
+        sim._trace("broadcast", node.id, -1, 0, detail)
+        schedule(tx_end[node.id], on_arrive, node.id, row)
+        return True
+
+    def on_queue_service(node_id, _data):
+        node = sim.nodes[node_id]
+        if not node.alive:
+            queued[node_id] = 0
+            transmitting[node_id] = False
+            return
+        if transmitting[node_id]:
+            if sim.now < tx_end[node_id]:
+                return
+            transmitting[node_id] = False
+        if not queued[node_id]:
+            return
+        queued[node_id] -= 1
+        started = transmit(node)
+        if not node.alive:
+            queued[node_id] = 0
+            transmitting[node_id] = False
+        elif not started and queued[node_id]:
+            schedule(sim.now, on_queue_service, node_id)
+
+    def on_arrive(sender_id, row):
+        for node_id in sim.topology.neighbors(sender_id, sim.active_range):
+            node = sim.nodes[node_id]
+            if not node.alive or not sim._debit(node, sim._rx_cost):
+                continue
+            old_hop = node.fit.self_hop
+            node.fit, action = apply_data_req(node.fit, row)
+            assert node.fit.self_hop <= old_hop
+            sim._trace("flood_rx", sender_id, node_id, 0, action.value)
+            if action is FloodAction.UPDATED_AND_REBROADCAST and not pending[node_id]:
+                pending[node_id] = True
+                enqueue(node_id)
+
+    sim._trace("query_start", SINK, -1, 0, "")
+    enqueue(SINK)
+    while heap:
+        time, _, handler, node_id, data = heapq.heappop(heap)
+        assert time >= sim.now
+        sim.now = time
+        handler(node_id, data)

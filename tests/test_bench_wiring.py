@@ -4,11 +4,13 @@
 or run, so this guard changes nothing there.  Without it, a rename that
 breaks ``bench/run.py --trace 1`` shows only when the benchmark runs.  The
 tracer also reads the decision of its pair selectors as ``result[0]``, so
-their ``(decision, pct)`` shape is guarded too.
+their ``(decision, pct)`` shape is guarded too, and so is the flood's use of
+the two protocol functions whose calls the tracer counts.
 """
 
 import ast
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,7 +20,7 @@ import qwsn.harness
 import qwsn.pegasis
 import qwsn.routing
 import qwsn.sim
-from qwsn.protocol import fit_bootstrap
+from qwsn.protocol import QosClass, fit_bootstrap
 from qwsn.routing import Pct
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -107,3 +109,30 @@ def test_pair_selector_returns_decision_first(name):
     result = selector(fit_bootstrap(1), Pct(), 1, **kwargs)
     assert isinstance(result, tuple) and len(result) == 2
     assert result[0] is None
+
+
+def test_flood_calls_the_wrapped_protocol_functions(monkeypatch):
+    """The tracer's ``protocol.apply_data_req.calls`` and flood useful ratio
+    read the wrappers it puts on ``qwsn.sim``'s module globals, so the flood
+    must call ``apply_data_req`` once per reception and ``advert_from_fit``
+    once per broadcast through them."""
+    calls = Counter()
+
+    def counting(name):
+        fn = getattr(qwsn.sim, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("apply_data_req", "advert_from_fit"):
+        monkeypatch.setattr(qwsn.sim, name, counting(name))
+    config = qwsn.sim.SimConfig(n=20, side=30.0, seed=1)
+    sim = qwsn.sim.Simulation(config, QosClass.NORMAL, collect_trace=True)
+    sim.run_flood()
+    receptions = sum(line[1] == "flood_rx" for line in sim._trace_lines)
+    assert receptions > sim.flood_broadcasts > 0
+    assert calls["apply_data_req"] == receptions
+    assert calls["advert_from_fit"] == sim.flood_broadcasts

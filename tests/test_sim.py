@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qwsn.sim
-from oracles import reference_pct_observe
+from oracles import reference_flood, reference_pct_observe
 from qwsn.protocol import HOP_INF, FloodAction, QosClass
 from qwsn.routing import (
     Rationale,
@@ -123,6 +123,17 @@ class TestTopology:
                     expected = topo.distance(i, j) <= r
                     assert (j in topo.neighbors(i, r)) == expected
                     assert (i in topo.neighbors(j, r)) == expected
+
+    def test_rows_list_every_node_in_range_ascending(self):
+        # isolated nodes first, in the middle and last leave empty rows
+        positions = [[0.0, 0.0], [5.0, 0.0], [9.0, 3.0], [50.0, 50.0], [7.0, -2.0]]
+        topo = Topology(np.array([[-40.0, -40.0], *positions, [90.0, 90.0]]))
+        for r in (0.0, 6.0, 15.0, 200.0):
+            for i in range(topo.n):
+                expected = tuple(
+                    j for j in range(topo.n) if j != i and topo.distance(i, j) <= r
+                )
+                assert topo.neighbors(i, r) == expected
 
     def test_unconnectable_raises_after_rejections(self):
         with pytest.raises(TopologyUnconnectable):
@@ -325,6 +336,59 @@ class TestWaitRanking:
             picks.append(sim._route(source, copy).next_hop)
         # equal waits resolve to the least id
         assert picks == [1, 2, 1, 1]
+
+
+def flood_outcome(sim):
+    """Everything a flood leaves on a run, tables in their dict order."""
+    nodes = [
+        (n.energy, n.alive, n.fit.self_hop, list(n.fit.entries.items()))
+        for n in sim.nodes
+    ]
+    return nodes, sim.now, sim.dissipated, sim.flood_broadcasts, sim._trace_lines
+
+
+class TestFloodMatchesEventReference:
+    """The breadth-first pass leaves what the discrete-event flood of
+    :func:`oracles.reference_flood` leaves, deaths in the flood included."""
+
+    def test_random_small_networks(self):
+        rng = np.random.default_rng(26)
+        rx = rx_energy(BITS, E_ELEC)
+        seen = Counter()
+        for seed in range(200):
+            n = int(rng.integers(2, 26))
+            side = float(rng.uniform(10.0, 60.0))
+            # exact multiples of the reception cost leave batteries at exactly 0
+            e_init = float(rng.choice([rx, 2 * rx, np.exp(rng.uniform(-10, -6))]))
+            service_time = float(rng.choice([0.0, 0.001, 0.004]))
+            cfg = SimConfig(
+                n=n, side=side, seed=seed, e_init=e_init, service_time=service_time
+            )
+            qos = list(QosClass)[seed % 4]
+            topology = Topology(rng.uniform(0.0, side, size=(n, 2)))
+            killed = rng.choice(n, size=int(rng.integers(0, n // 3 + 1)), replace=False)
+            if seed % 10 == 0:
+                killed = np.append(killed[killed != SINK], SINK)
+            sims = []
+            for _ in range(2):
+                sim = Simulation(cfg, qos, topology=topology, collect_trace=True)
+                for node_id in killed.tolist():
+                    sim.nodes[node_id].alive = False
+                sims.append(sim)
+            reference_flood(sims[0])
+            sims[1].run_flood()
+            assert flood_outcome(sims[1]) == flood_outcome(sims[0]), seed
+            died = sum(line[1] == "node_died" for line in sims[1]._trace_lines)
+            seen["flood_deaths"] += died
+            seen["dead_sink"] += not sims[1].nodes[SINK].alive
+            seen["instant"] += died > 0 and service_time == 0.0
+            # a node that learned a hop queued a broadcast before it died
+            seen["died_queued"] += any(
+                not node.alive and 0 < node.fit.self_hop < HOP_INF
+                for node in sims[1].nodes
+            )
+        assert seen["flood_deaths"] > 0 and seen["instant"] > 0
+        assert seen["dead_sink"] > 0 and seen["died_queued"] > 0
 
 
 class TestUnicastWithAck:
@@ -921,28 +985,36 @@ class TestDispatchThreshold:
         assert hybrid.replies_delivered == 9
 
 
-def check_engine_invariants(sim, actions, seen):
-    """Check, on ``sim``, the two facts the engine's unguarded paths rest on.
+def check_flood_waves(sim):
+    """Each node broadcasts at most once, in the wave of its hop count: the
+    hop-h wave goes h service times after the query starts.  Returns the
+    number of broadcasts."""
+    (start,) = [line[0] for line in sim._trace_lines if line[1] == "query_start"]
+    waves = [start]
+    senders = set()
+    for time, kind, src, _, _, detail in sim._trace_lines:
+        if kind != "broadcast":
+            continue
+        assert src not in senders
+        senders.add(src)
+        hop = sim.nodes[src].fit.self_hop
+        assert detail.startswith(f"hop={hop} ")
+        while len(waves) <= hop:
+            waves.append(waves[-1] + sim.config.service_time)
+        assert time == waves[hop]
+    assert len(senders) == sim.flood_broadcasts
+    return len(senders)
 
-    Every flood job but the sink's first is queued by a reception that
-    lowered the node's hop count (``actions`` maps a node to the action of
-    its latest DATA_REQ reception), and no reply copy that reaches a
-    transmit, a dead node's queue flush or an acknowledgement timeout is
-    finished.  ``seen`` counts the checked events by kind.
+
+def check_engine_invariants(sim, seen):
+    """Check, on ``sim``, the fact the engine's unguarded reply paths rest
+    on: no reply copy that reaches a transmit, a dead node's queue flush or
+    an acknowledgement timeout is finished.  ``seen`` counts the checked
+    events by kind.
     """
-    enqueue, transmit = sim._enqueue_tx, sim._transmit_reply
-    flush, timeout = sim._flush_dead_queue, sim._on_ack_timeout
-    flood_jobs = []
-
-    def checked_enqueue(node, job):
-        if job is None:
-            if flood_jobs:
-                assert actions[node.id] is FloodAction.UPDATED_AND_REBROADCAST
-            else:
-                assert node.id == SINK
-            flood_jobs.append(node.id)
-            seen["flood_jobs"] += 1
-        enqueue(node, job)
+    transmit, flush, timeout = (
+        sim._transmit_reply, sim._flush_dead_queue, sim._on_ack_timeout
+    )
 
     def checked_transmit(node, copy):
         assert not copy.done
@@ -950,9 +1022,8 @@ def check_engine_invariants(sim, actions, seen):
         return transmit(node, copy)
 
     def checked_flush(node):
-        copies = [job for job in node.tx_queue if job is not None]
-        assert not any(c.done for c in copies)
-        seen["flushed"] += len(copies)
+        assert not any(c.done for c in node.tx_queue)
+        seen["flushed"] += len(node.tx_queue)
         flush(node)
 
     def checked_timeout(sender_id, data):
@@ -960,24 +1031,23 @@ def check_engine_invariants(sim, actions, seen):
         seen["dead_sender_timeouts"] += not sim.nodes[sender_id].alive
         timeout(sender_id, data)
 
-    sim._enqueue_tx = checked_enqueue
     sim._transmit_reply = checked_transmit
     sim._flush_dead_queue = checked_flush
     sim._on_ack_timeout = checked_timeout
 
 
 class TestEngineInvariants:
-    """The flood queues a broadcast only on a lowered hop count, and a reply
-    copy is finished only once it has left every queue, flight and
-    acknowledgement wait, on small random networks with small batteries."""
+    """The flood sends each node's broadcast at most once, in its hop's wave,
+    and a reply copy is finished only once it has left every queue, flight
+    and acknowledgement wait, on small random networks with small
+    batteries."""
 
-    def test_flood_jobs_and_unfinished_copies(self, monkeypatch):
-        actions, seen = {}, Counter()
+    def test_flood_waves_and_unfinished_copies(self, monkeypatch):
+        seen = Counter()
         apply = qwsn.sim.apply_data_req
 
         def recording_apply(fit, row):
             result = apply(fit, row)
-            actions[fit.self_id] = result[1]
             seen[result[1]] += 1
             return result
 
@@ -995,22 +1065,23 @@ class TestEngineInvariants:
             )
             for qos in QosClass:
                 try:
-                    sim = Simulation(cfg, qos)
+                    sim = Simulation(cfg, qos, collect_trace=True)
                 except TopologyUnconnectable:
                     continue
-                actions.clear()
-                check_engine_invariants(sim, actions, seen)
+                check_engine_invariants(sim, seen)
                 sim.run_flood()
+                seen["broadcasts"] += check_flood_waves(sim)
+                seen["flood_deaths"] += sim.dead_count
                 sim.inject_failures()
                 sim.deliver_replies()
         # several rounds of the plain reliable class on shared batteries
         cfg = SimConfig(
             n=30, side=55.0, seed=3, e_init=3e-3, e_threshold=1e-4, failure_fraction=0.2
         )
-        sim = Simulation(cfg, QosClass.RELIABLE)
-        actions.clear()
-        check_engine_invariants(sim, actions, seen)
+        sim = Simulation(cfg, QosClass.RELIABLE, collect_trace=True)
+        check_engine_invariants(sim, seen)
         sim.run_flood()
+        check_flood_waves(sim)
         sim.inject_failures()
         for round_index in range(20):
             sim.run_reply_round(round_index)
@@ -1019,7 +1090,8 @@ class TestEngineInvariants:
         assert seen[FloodAction.RECORDED_AND_REBROADCAST] > 0
         assert seen["flushed"] > 0
         assert seen["dead_sender_timeouts"] > 0
-        assert seen["flood_jobs"] > 0 and seen["transmits"] > 0
+        assert seen["broadcasts"] > 0 and seen["transmits"] > 0
+        assert seen["flood_deaths"] > 0
 
 
 class TestFloodState:
