@@ -83,7 +83,7 @@ class FitEntry:
 
 @dataclass
 class Fit:
-    """Forwarding information table: neighbour rows plus the node's own record.
+    """Forwarding information table: neighbour rows plus the node's hop count.
 
     ``entries`` is keyed by neighbour id, so there is at most one row per
     neighbour by construction.  Only :func:`apply_data_req` changes it in
@@ -92,7 +92,6 @@ class Fit:
 
     self_id: int
     self_hop: int
-    self_energy: float = 0.0
     entries: dict[int, FitEntry] = field(default_factory=dict)
     # Not an __init__ field, so a copy made by dataclasses.replace starts
     # without its parent's order.
@@ -114,27 +113,21 @@ class Fit:
 class FloodAction(Enum):
     """What a node did with one received DATA_REQ.  Only an update queues a
     rebroadcast: a node has already queued or sent its broadcast at the hop
-    count a ``RECORDED_AND_REBROADCAST`` records, which keeps its name for
-    the trace."""
+    count a ``RECORDED`` reception records."""
 
     UPDATED_AND_REBROADCAST = "updated_and_rebroadcast"
-    RECORDED_AND_REBROADCAST = "recorded_and_rebroadcast"
+    RECORDED = "recorded"
     DROPPED = "dropped"
 
 
-def fit_bootstrap(self_id: int, is_sink: bool = False, energy: float = 0.0) -> Fit:
+def fit_bootstrap(self_id: int, is_sink: bool = False) -> Fit:
     """Fresh FIT for a node that has heard nothing yet.
 
     The sink knows it is zero hops from itself; every other node starts with
     the unreachable sentinel until the first query flood teaches it better.
     """
     _check_node_id(self_id)
-    return Fit(
-        self_id=self_id,
-        self_hop=0 if is_sink else HOP_INF,
-        self_energy=energy,
-        entries={},
-    )
+    return Fit(self_id=self_id, self_hop=0 if is_sink else HOP_INF, entries={})
 
 
 def apply_data_req(fit: Fit, row: FitEntry) -> tuple[Fit, FloodAction]:
@@ -163,14 +156,14 @@ def apply_data_req(fit: Fit, row: FitEntry) -> tuple[Fit, FloodAction]:
         fit.self_hop = candidate
         return fit, FloodAction.UPDATED_AND_REBROADCAST
     if candidate == fit.self_hop:
-        return fit, FloodAction.RECORDED_AND_REBROADCAST
+        return fit, FloodAction.RECORDED
     return fit, FloodAction.DROPPED
 
 
-def advert_from_fit(fit: Fit) -> FitEntry:
+def advert_from_fit(fit: Fit, energy: float) -> FitEntry:
     """The row a node advertises when it rebroadcasts the query.
 
-    It holds the node's own energy and hop count and, as forwarders, the
+    It holds ``energy``, the node's hop count and, as forwarders, the
     up-to-three known neighbours with the least hop counts, ties broken by
     ascending node id.  A node only rebroadcasts once it has learned a
     finite hop count, so calling this on a bootstrapped table is an error.
@@ -178,7 +171,7 @@ def advert_from_fit(fit: Fit) -> FitEntry:
     if fit.self_hop >= HOP_INF:
         raise ValueError("cannot advertise an unknown hop count")
     forwarders = tuple(e.neighbor for e in fit.by_hop[:MAX_FORWARDERS])
-    return FitEntry(fit.self_id, fit.self_energy, fit.self_hop, forwarders)
+    return FitEntry(fit.self_id, energy, fit.self_hop, forwarders)
 
 
 def prune_low_energy(fit: Fit, e_threshold: float) -> Fit:

@@ -14,9 +14,12 @@ in strict ``(time, insertion order)`` order.  A run executes four phases:
 Events: each heap entry is ``(time, insertion order, handler, node, data)``
 and the drain calls ``handler(node, data)``.  The heap carries the reply
 rounds only; the query flood is one breadth-first pass over hop levels
-(see the timing model) and pushes no event.  A node's transmit queue holds
-the :class:`ReplyCopy` objects it has to forward, and an unfinished reply
-copy is in one place: a transmit queue, in flight, or awaiting an
+(see the timing model) and pushes no event.  A reply transmission is one
+entry, at its end; besides it the heap holds a node's queue wake-ups,
+acknowledgement timeouts and, only when a trace is kept, the trace-only
+acknowledgement arrivals.  A node's transmit queue holds the
+:class:`ReplyCopy` objects it has to forward, and an unfinished reply copy
+is in one place: a transmit queue, in flight, or awaiting an
 acknowledgement timeout.  Only the flood changes a FIT in place; afterwards
 dropping a neighbour builds a new table (copy on write), so runs can share
 the tables a flood left.
@@ -32,14 +35,16 @@ and so overheard, at every earlier arrival of the round.
 
 Timing model: every transmission (broadcast or unicast) occupies the
 sender's radio for one service time, so per-hop latency is the sender's
-queue wait plus the transmission delay.  The flood runs alone and a node
-broadcasts the query once, on the reception that first gives it a hop
-count, so it goes in waves: the hop-h nodes broadcast at one instant, in
-the order their first receptions came, and every broadcast of a wave
-arrives one service time later.  A broadcast is delivered to the sender's
-alive neighbours in ascending id order, each reception handled in full
-before the next, so its receptions form one block at the wave's arrival
-time; the next wave's senders are the nodes those receptions gave a hop.
+queue wait plus the transmission delay.  A reply transmission ends in one
+event: the sender's radio frees and serves its queue, and then the copy
+reaches the receiver.  The flood runs alone and a node broadcasts the query
+once, on the reception that first gives it a hop count, so it goes in
+waves: the hop-h nodes broadcast at one instant, in the order their first
+receptions came, and every broadcast of a wave arrives one service time
+later.  A broadcast is delivered to the sender's alive neighbours in
+ascending id order, each reception handled in full before the next, so its
+receptions form one block at the wave's arrival time; the next wave's
+senders are the nodes those receptions gave a hop.
 Energy model: first-order radio,
 ``tx = e_elec*bits + eps_amp*bits*d^2`` and ``rx = e_elec*bits``; broadcasts
 transmit at the active range's power while unicasts spend amplifier energy
@@ -447,11 +452,7 @@ class Simulation:
             self.dissipated = 0.0
             self.flood_broadcasts = 0
             self.nodes = [
-                NodeState(
-                    id=i,
-                    energy=config.e_init,
-                    fit=fit_bootstrap(i, is_sink=(i == SINK), energy=config.e_init),
-                )
+                NodeState(id=i, energy=config.e_init, fit=fit_bootstrap(i, i == SINK))
                 for i in range(config.n)
             ]
         else:
@@ -536,7 +537,15 @@ class Simulation:
     # transmit queue
 
     def _enqueue_tx(self, node: NodeState, copy: ReplyCopy) -> None:
-        """Queue a reply copy for the node to forward."""
+        """Queue a reply copy for the node to forward.
+
+        An idle node gets one wake-up at this instant per copy queued, and
+        the spare ones stay: when the head copy does not start
+        (``ttl_expired``, ``no_route``), the next wake-up serves the queue
+        in its own turn, before the wake-ups of copies queued after it at
+        other nodes.  One wake-up per node would put the rest of the queue
+        behind those, so a dispatch would interleave its sources' copies.
+        """
         node.tx_queue.append(copy)
         if not node.transmitting:
             self._schedule(self.now, self._on_queue_service, node.id)
@@ -595,7 +604,7 @@ class Simulation:
             for node in senders:
                 if not node.alive or not self._debit(node, tx_cost):
                     continue
-                row = advert_from_fit(node.fit)
+                row = advert_from_fit(node.fit, self.config.e_init)
                 adverts.append(row)
                 self.flood_broadcasts += 1
                 if tracing:
@@ -618,12 +627,6 @@ class Simulation:
                         self._trace("flood_rx", sender_id, node_id, 0, action.value)
                     if action is FloodAction.UPDATED_AND_REBROADCAST:
                         senders.append(node)
-
-    def _occupy_radio(self, node: NodeState) -> None:
-        """Start one service time of transmission; the queue resumes at its end."""
-        node.transmitting = True
-        node.tx_end = self.now + self.config.service_time
-        self._schedule(node.tx_end, self._on_queue_service, node.id)
 
     # ------------------------------------------------------------------
     # failures
@@ -792,20 +795,19 @@ class Simulation:
             # _on_queue_service flushes the rest of the dead sender's queue
             self._finish_copy(copy, delivered=False, reason="sender_died")
             return False
-        self._occupy_radio(node)
-        self._schedule(
-            node.tx_end,
-            self._on_unicast_arrive,
-            target,
-            (node.id, copy, backtrack),
-        )
+        node.transmitting = True
+        node.tx_end = self.now + self.config.service_time
+        self._schedule(node.tx_end, self._on_tx_end, node.id, (target, copy, backtrack))
         if self._trace_lines is not None:
             detail = f"src={copy.src} copy={copy.copy_index} ttl={copy.ttl}"
             self._trace("unicast", node.id, target, 0, detail)
         return True
 
-    def _on_unicast_arrive(self, receiver_id: int, data: tuple) -> None:
-        sender_id, copy, backtrack = data
+    def _on_tx_end(self, sender_id: int, data: tuple) -> None:
+        """The end of one transmission: the sender's radio frees and serves
+        its queue, and then the copy reaches the receiver."""
+        receiver_id, copy, backtrack = data
+        self._on_queue_service(sender_id, None)
         receiver = self.nodes[receiver_id]
         # The plain reliable class runs the link-layer acknowledgement and
         # repairs around detected failures; the delay-sensitive hybrid cannot
@@ -831,7 +833,7 @@ class Simulation:
             else:
                 self._finish_copy(copy, delivered=False, reason="dead_next_hop")
             return
-        if with_ack:
+        if with_ack and self._trace_lines is not None:
             self._schedule(self.now, self._on_ack_arrive, sender_id, receiver_id)
         if backtrack:
             copy.backtracks.append(len(copy.path))
@@ -846,6 +848,7 @@ class Simulation:
         self._enqueue_tx(receiver, copy)
 
     def _on_ack_arrive(self, sender_id: int, receiver_id: int) -> None:
+        """Trace-only: pushed only when a trace is kept."""
         self._trace("ack_arrive", receiver_id, sender_id, -1, "ok")
 
     def _on_ack_timeout(self, sender_id: int, data: tuple) -> None:

@@ -486,7 +486,7 @@ def reference_flood(sim):
         pending[node.id] = False
         if not sim._debit(node, sim._tx_cost_broadcast):
             return False
-        row = advert_from_fit(node.fit)
+        row = advert_from_fit(node.fit, sim.config.e_init)
         transmitting[node.id] = True
         tx_end[node.id] = sim.now + service_time
         schedule(tx_end[node.id], on_queue_service, node.id)

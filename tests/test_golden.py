@@ -32,37 +32,37 @@ TRACE_CELLS = {
     (50, 0, 0.2): {
         "normal": (
             "17dfbe345d8879e87c9070b361b4072872475764baf31b4559b964d16b82d2f2",
-            "94600e1a0de7b2723af0b17ce8179f0dada6a6086967dd3c71e81399a5b85cdb",
+            "524c232f0f1935d839c08e8e92b7a03a73879c740f17ca292788e6f0de208b81",
         ),
         "reliable": (
             "75faab74f14d89e6d8a0c6e7686ae1cc4fea4f6ea575dc3253635144890bb5ba",
-            "76eec02a245b747c23aebb6b4f47ca2c8acbc4c10b25cf3164665bc1afe36899",
+            "70d220003b3ce7a86d57e72b31c2a75c9e8f14d38fe2dfe7cbda3307e0beca66",
         ),
         "delay": (
             "e663d3a0da8b11af5534dea7791dd397bbdf3afb5dea983f7f9e4dada38ae82e",
-            "8b1fe1ecfe7a91cf8c2feba969dfc7f7f56d816bb1e3a7530fe9d7453a7eb283",
+            "944e477d1fb82c80f908f3f5127e3b508c28cbe19b7dc946e5771ca5d36ca478",
         ),
         "delay_reliable": (
             "0e8096991ba64d9585597ef1e8d4a95bb7b5a16668760dbf0d1afad6deabc96f",
-            "cf78daa2318f5ce946a1cb43d58df30d9a2d7faa08d33716f228fd520f2c3cdb",
+            "38b413980801ca3ffd15490925e2aa87b115fd3edd97b7cebf4a31656a447e97",
         ),
     },
     (100, 3, 0.1): {
         "normal": (
             "d93078d884077adb661fa6978a2a0612c3e707695cfc4ed97e888536f2d7c80d",
-            "36c4cfae970af1e8040e06ddb476c4d213e73219f0ec10dd356ecd34253a99e8",
+            "8239d1775c955c1765f21c1d21235a85df176d46bf2a4e2f77f82aa535784ee6",
         ),
         "reliable": (
             "d6220c3396daf9dcd849bde9468f791ea2ade1a29767a2ae00abf0a22f283ea2",
-            "86702a4580010d61ca2d179330b4c2c8fc0252d90ca21af00551e6b67a391ed9",
+            "782a4e804be2880080d7de63b259f49abccb28ab6272c58b9f62695e29c75c81",
         ),
         "delay": (
             "3b95d3a7e5cd981066effe35caff002c1ce74646146463402b87c867c9ac4927",
-            "dc7567c82e20f519b310810eabce71f61b9d834b6e69b1ba4bf2d2a3a64006d3",
+            "32d91b613cc10464b9a5ca07f2af4fb8a6737f17ffc0d4d3a11089509262348f",
         ),
         "delay_reliable": (
             "8a22edd2c0a336b35c252583fdd09a6afe82c94374a484652173d2387f802b82",
-            "f57e0604ed4f3065fb0889b9907a43790303cbdb45215e1d583825cd9c67a0fc",
+            "000d4a3b930a9a4afb540073cd4db94ed60e48e511fd2457daaae167a9c648fc",
         ),
     },
 }

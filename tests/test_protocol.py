@@ -48,7 +48,7 @@ class TestApplyDataReq:
         fit = fit_bootstrap(7)
         fit.self_hop = 4
         out, action = apply_data_req(fit, row(3, 3))
-        assert action is FloodAction.RECORDED_AND_REBROADCAST
+        assert action is FloodAction.RECORDED
         assert out.self_hop == 4
         assert 3 in out.entries
 
@@ -198,7 +198,6 @@ class TestAdvert:
     def _fit_with(self, mapping):
         fit = fit_bootstrap(99)
         fit.self_hop = 3
-        fit.self_energy = 0.25
         for sender, h in mapping.items():
             fit, _ = apply_data_req(fit, row(sender, h))
         fit.self_hop = 3
@@ -206,11 +205,12 @@ class TestAdvert:
 
     def test_three_least_hop_neighbors(self):
         fit = self._fit_with({10: 1, 11: 1, 12: 2, 13: 3})
-        assert advert_from_fit(fit) == row(99, 3, energy=0.25, forwarders=(10, 11, 12))
+        advert = advert_from_fit(fit, 0.25)
+        assert advert == row(99, 3, energy=0.25, forwarders=(10, 11, 12))
 
     def test_degenerate_single_neighbor(self):
         fit = self._fit_with({10: 2})
-        assert advert_from_fit(fit).forwarders == (10,)
+        assert advert_from_fit(fit, 0.25).forwarders == (10,)
 
     def test_tie_break_lowest_ids(self):
         # all at equal hop: lowest three ids, regardless of arrival order
@@ -222,15 +222,15 @@ class TestAdvert:
             for sender in order:
                 fit, _ = apply_data_req(fit, row(sender, 1))
             fit.self_hop = 2
-            assert advert_from_fit(fit).forwarders == (11, 12, 13)
+            assert advert_from_fit(fit, 0.25).forwarders == (11, 12, 13)
 
     def test_unreachable_node_cannot_advertise(self):
         with pytest.raises(ValueError):
-            advert_from_fit(fit_bootstrap(7))
+            advert_from_fit(fit_bootstrap(7), 0.25)
 
     def test_forwarders_are_known_entries(self):
         fit = self._fit_with({5: 1, 6: 2, 7: 2, 8: 4})
-        advert = advert_from_fit(fit)
+        advert = advert_from_fit(fit, 0.25)
         assert set(advert.forwarders) <= set(fit.entries)
 
 

@@ -609,8 +609,9 @@ def shadow_pcts(sim, monkeypatch):
     The shadow keeps one table per node and empties them all when a
     ``deliver_replies`` call starts.  Through ``oracles.reference_pct_observe``
     it writes each reply into the table of every neighbour of its sender
-    that is alive at the arrival, each dispatch's first hops into the
-    source's table and each committed pick into the picking node's table.
+    that is alive when the transmission ends, each dispatch's first hops
+    into the source's table and each committed pick into the picking node's
+    table.
     At every read of a PCT-checked selector by node ``v``, the engine's
     ``_pct_blocks`` must answer, for each candidate in ``v``'s FIT, what
     ``v``'s shadow table holds.  Returns a list of the checked reads and a
@@ -623,18 +624,20 @@ def shadow_pcts(sim, monkeypatch):
         shadow[node_id] = reference_pct_observe(shadow[node_id], forwarder, src)
 
     deliver = sim.deliver_replies
-    arrive, dispatch, route = sim._on_unicast_arrive, sim._dispatch_source, sim._route
+    tx_end, dispatch, route = sim._on_tx_end, sim._dispatch_source, sim._route
 
     def shadow_deliver(sources=None):
         shadow[:] = [()] * sim.config.n
         return deliver(sources)
 
-    def shadow_arrive(receiver_id, data):
-        sender_id, copy, _ = data
+    def shadow_tx_end(sender_id, data):
+        # the sender's own queue service, which the handler runs first,
+        # changes no other node's life, and the sender hears itself in no table
+        copy = data[1]
         for nbr in sim.topology.neighbors(sender_id, sim.active_range):
             if sim.nodes[nbr].alive:
                 record(nbr, sender_id, copy.src)
-        arrive(receiver_id, data)
+        tx_end(sender_id, data)
 
     def shadow_dispatch(src_id):
         copies = dispatch(src_id)
@@ -662,7 +665,7 @@ def shadow_pcts(sim, monkeypatch):
         return wrapper
 
     sim.deliver_replies = shadow_deliver
-    sim._on_unicast_arrive = shadow_arrive
+    sim._on_tx_end = shadow_tx_end
     sim._dispatch_source = shadow_dispatch
     sim._route = shadow_route
     monkeypatch.setattr(qwsn.sim, "next_hop_reliable", checked(next_hop_reliable))
@@ -1040,7 +1043,8 @@ class TestEngineInvariants:
     """The flood sends each node's broadcast at most once, in its hop's wave,
     and a reply copy is finished only once it has left every queue, flight
     and acknowledgement wait, on small random networks with small
-    batteries."""
+    batteries.  A transmission is one heap entry, and queue wake-ups keep
+    each source's copies together."""
 
     def test_flood_waves_and_unfinished_copies(self, monkeypatch):
         seen = Counter()
@@ -1087,11 +1091,60 @@ class TestEngineInvariants:
             sim.run_reply_round(round_index)
         assert sim.dead_count > len(sim.failed_nodes)
         # the deleted branches' situations all occurred
-        assert seen[FloodAction.RECORDED_AND_REBROADCAST] > 0
+        assert seen[FloodAction.RECORDED] > 0
         assert seen["flushed"] > 0
         assert seen["dead_sender_timeouts"] > 0
         assert seen["broadcasts"] > 0 and seen["transmits"] > 0
         assert seen["flood_deaths"] > 0
+
+    def test_one_heap_entry_per_transmission(self, monkeypatch):
+        """A transmission pushes one entry, at its end, and the trace-only
+        acknowledgement arrival is pushed only when a trace is kept: once
+        per ``ack_arrive`` line."""
+        pushes = Counter()
+        push = qwsn.sim.heappush
+
+        def counted(heap, entry):
+            pushes[entry[2].__name__] += 1
+            push(heap, entry)
+
+        monkeypatch.setattr(qwsn.sim, "heappush", counted)
+        totals = Counter()
+        for qos in QosClass:
+            for seed in range(3):
+                cfg = SimConfig(
+                    n=40, side=60.0, seed=seed, e_init=2e-3, e_threshold=1e-4,
+                    failure_fraction=0.2,
+                )
+                lines = Counter()
+                for traced in (True, False):
+                    pushes.clear()
+                    sim = Simulation(cfg, qos, collect_trace=traced)
+                    sim.run_flood()
+                    sim.inject_failures()
+                    for round_index in range(5):
+                        sim.run_reply_round(round_index)
+                    if traced:
+                        lines = Counter(line[1] for line in sim._trace_lines)
+                        assert pushes["_on_ack_arrive"] == lines["ack_arrive"]
+                    else:
+                        assert pushes["_on_ack_arrive"] == 0
+                    assert pushes["_on_tx_end"] == lines["unicast"]
+                totals.update(lines)
+        assert totals["unicast"] > 0 and totals["ack_arrive"] > 0
+        assert totals["unicast_lost"] > 0 and totals["node_died"] > 0
+
+    def test_spare_wake_ups_keep_each_sources_drops_together(self):
+        """With no hop budget every copy ends ``ttl_expired`` as it reaches
+        the radio, and each source's copies end one after another: the
+        wake-ups ``_enqueue_tx`` pushes per queued copy serve a queue in its
+        own turn, where one wake-up per node would interleave the sources."""
+        cfg = SimConfig(n=50, side=70.0, seed=0, ttl=0)
+        for qos in QosClass:
+            m = simulate_query_round(cfg, qos, collect_trace=True)
+            dropped = [line[2] for line in m.trace if line[1] == "dropped"]
+            assert dropped == [src for src in m.sources for _ in range(cfg.copies)]
+            assert {c.drop_reason for c in m.copies} == {"ttl_expired"}
 
 
 class TestFloodState:
