@@ -211,8 +211,15 @@ class Topology:
         self.positions = np.asarray(positions, dtype=float)
         if self.positions.ndim != 2 or self.positions.shape[1] != 2:
             raise ValueError("positions must be an (n, 2) array")
-        diff = self.positions[:, None, :] - self.positions[None, :, :]
-        self._dist = np.sqrt((diff**2).sum(axis=-1))
+        # One coordinate at a time: dx*dx + dy*dy is bitwise what squaring
+        # an (n, n, 2) difference array and summing its last axis gives.
+        x, y = self.positions.T
+        dist = x[:, None] - x[None, :]
+        dy = y[:, None] - y[None, :]
+        dist *= dist
+        dy *= dy
+        dist += dy
+        self._dist = np.sqrt(dist, out=dist)
         self._neighbors: dict[float, list[tuple[int, ...]]] = {}
 
     @property
@@ -237,46 +244,36 @@ class Topology:
             self._neighbors[range_m] = table
         return table[node]
 
+    def connected(self, range_m: float) -> bool:
+        """Whether every node is reachable from the sink at ``range_m``.
 
-def bfs_hops(
-    topology: Topology,
-    sink: int,
-    range_m: float,
-    alive: Sequence[bool] | None = None,
-) -> list[int]:
-    """Exact breadth-first hop distances from the sink; HOP_INF if unreachable.
-
-    Serves as the independent oracle the flood must reproduce.
-    """
-    hops = [HOP_INF] * topology.n
-    if alive is not None and not alive[sink]:
-        return hops
-    hops[sink] = 0
-    frontier = deque([sink])
-    while frontier:
-        node = frontier.popleft()
-        for nbr in topology.neighbors(node, range_m):
-            if alive is not None and not alive[nbr]:
-                continue
-            if hops[nbr] == HOP_INF:
-                hops[nbr] = hops[node] + 1
-                frontier.append(nbr)
-    return hops
+        Expands the reached set one hop level at a time over the boolean
+        adjacency matrix, so no neighbour table is built.
+        """
+        within = self._dist <= range_m
+        reached = frontier = within[SINK].copy()
+        while frontier.any():
+            frontier = within[frontier].any(axis=0) & ~reached
+            reached |= frontier
+        return bool(reached.all())
 
 
 def build_topology(config: SimConfig) -> Topology:
     """Seeded uniform placement, redrawn until connected at the short range.
 
     Connectivity at the short range implies connectivity at the long range,
-    so one placement serves all four service classes.  Each rejection draws
-    from a fresh substream; after 100 rejections the configuration is deemed
+    so one placement serves all four service classes.  A draw is tested by
+    :meth:`Topology.connected`, a hop-by-hop expansion from the sink over the
+    distance matrix, so a rejected draw builds no neighbour table; the kept
+    placement builds its tables on first use.  Each rejection draws from a
+    fresh substream; after 100 rejections the configuration is deemed
     unconnectable.
     """
     for attempt in range(_MAX_TOPOLOGY_ATTEMPTS):
         rng = np.random.default_rng([config.seed, _TOPO_STREAM, attempt])
         positions = rng.uniform(0.0, config.side, size=(config.n, 2))
         topology = Topology(positions)
-        if HOP_INF not in bfs_hops(topology, SINK, config.short_range):
+        if topology.connected(config.short_range):
             return topology
     raise TopologyUnconnectable(
         f"no connected placement in {_MAX_TOPOLOGY_ATTEMPTS} attempts "

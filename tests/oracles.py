@@ -9,14 +9,28 @@ exhaustively enumerated tables is meaningful evidence.
 :func:`reference_flood` is the query flood as a discrete-event run, every
 broadcast a queued job with its own radio service and arrival events; the
 engine's breadth-first pass must leave exactly what it leaves.
+
+:func:`bfs_hops` and :func:`reference_distances` are the placement oracles:
+hop distances by a plain breadth-first search over the neighbour lists, and
+the distance matrix as one ``(n, n, 2)`` difference array.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from itertools import combinations, count, product
 
-from qwsn.protocol import FloodAction, Fit, FitEntry, advert_from_fit, apply_data_req
+import numpy as np
+
+from qwsn.protocol import (
+    HOP_INF,
+    FloodAction,
+    Fit,
+    FitEntry,
+    advert_from_fit,
+    apply_data_req,
+)
 from qwsn.sim import SINK
 
 
@@ -536,3 +550,32 @@ def reference_flood(sim):
         assert time >= sim.now
         sim.now = time
         handler(node_id, data)
+
+
+def bfs_hops(topology, sink, range_m, alive=None):
+    """Exact breadth-first hop distances from the sink; HOP_INF if unreachable.
+
+    Serves as the independent oracle the flood must reproduce.
+    """
+    hops = [HOP_INF] * topology.n
+    if alive is not None and not alive[sink]:
+        return hops
+    hops[sink] = 0
+    frontier = deque([sink])
+    while frontier:
+        node = frontier.popleft()
+        for nbr in topology.neighbors(node, range_m):
+            if alive is not None and not alive[nbr]:
+                continue
+            if hops[nbr] == HOP_INF:
+                hops[nbr] = hops[node] + 1
+                frontier.append(nbr)
+    return hops
+
+
+def reference_distances(positions):
+    """Pairwise Euclidean distances through one ``(n, n, 2)`` difference
+    array, squared and summed over its last axis."""
+    positions = np.asarray(positions, dtype=float)
+    diff = positions[:, None, :] - positions[None, :, :]
+    return np.sqrt((diff**2).sum(axis=-1))

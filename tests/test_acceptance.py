@@ -19,6 +19,7 @@ from functools import lru_cache
 import pytest
 
 from oracles import (
+    bfs_hops,
     check_delay_selector_equivalence,
     check_next_hop_normal_equivalence,
     check_pct_selector_equivalence,
@@ -43,7 +44,6 @@ from qwsn.sim import (
     SINK,
     SimConfig,
     Simulation,
-    bfs_hops,
     build_topology,
 )
 

@@ -4,14 +4,22 @@ import copy
 import math
 from collections import Counter
 from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import qwsn.sim
-from oracles import reference_flood, reference_pct_observe
+from oracles import (
+    bfs_hops,
+    reference_distances,
+    reference_flood,
+    reference_pct_observe,
+)
+from qwsn.harness import parse_scenario, sim_config
 from qwsn.protocol import HOP_INF, FloodAction, QosClass
 from qwsn.routing import (
     Rationale,
@@ -26,7 +34,6 @@ from qwsn.sim import (
     Simulation,
     Topology,
     TopologyUnconnectable,
-    bfs_hops,
     build_topology,
     fit_bootstrap,
     flood_state,
@@ -154,6 +161,135 @@ class TestBfs:
             HOP_INF,
             HOP_INF,
         ]
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def shipped_sweep_configs():
+    """One config per placement the two shipped sweeps draw (a cell's failure
+    fraction does not enter its placement)."""
+    configs = {}
+    for name in ("energy_latency.txt", "reliability.txt"):
+        scenario = parse_scenario((SCENARIOS / name).read_text(encoding="utf-8"))
+        for n in scenario.sizes:
+            for seed in scenario.seeds:
+                config = sim_config(scenario, n, 0.0, seed)
+                configs[config.n, config.side, config.short_range, seed] = config
+    return list(configs.values())
+
+
+def recorded_draws(monkeypatch, config):
+    """``build_topology(config)`` and every placement it drew, in order."""
+    draws = []
+
+    class Recording(Topology):
+        def __init__(self, positions):
+            super().__init__(positions)
+            draws.append(self)
+
+    monkeypatch.setattr(qwsn.sim, "Topology", Recording)
+    return build_topology(config), draws
+
+
+def reference_attempt(config):
+    """The first attempt whose placement ``bfs_hops`` reaches in full, by the
+    placement rule written out: substream ``[seed, 11, attempt]``, uniform
+    over the square."""
+    for attempt in range(100):
+        rng = np.random.default_rng([config.seed, 11, attempt])
+        topology = Topology(rng.uniform(0.0, config.side, size=(config.n, 2)))
+        if HOP_INF not in bfs_hops(topology, SINK, config.short_range):
+            return attempt, topology.positions
+
+
+@st.composite
+def placements(draw):
+    """2-160 points with coordinates up to 1e6 in magnitude, either sign, and
+    some points copied onto others."""
+    n = draw(st.integers(min_value=2, max_value=160))
+    coordinate = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+    positions = draw(arrays(np.float64, (n, 2), elements=coordinate))
+    index = st.integers(min_value=0, max_value=n - 1)
+    for src, dst in draw(st.lists(st.tuples(index, index), max_size=n)):
+        positions[dst] = positions[src]
+    return positions
+
+
+@st.composite
+def grid_placements(draw):
+    """Points on an integer grid, so distances often equal the range exactly,
+    with some nodes shifted far away to split the graph."""
+    n = draw(st.integers(min_value=2, max_value=30))
+    coordinate = st.integers(min_value=0, max_value=20)
+    points = draw(st.lists(st.tuples(coordinate, coordinate), min_size=n, max_size=n))
+    shifted = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return np.array(
+        [[x + 100.0 * far, y] for (x, y), far in zip(points, shifted)], dtype=float
+    )
+
+
+def bfs_connected(topology, range_m):
+    return HOP_INF not in bfs_hops(topology, SINK, range_m)
+
+
+class TestPlacement:
+    """A draw's distance matrix, its connectivity verdict and the kept attempt
+    against the oracles."""
+
+    @given(positions=placements())
+    @settings(max_examples=60, deadline=None)
+    def test_distances_bitwise_equal_reference(self, positions):
+        assert np.array_equal(Topology(positions)._dist, reference_distances(positions))
+
+    def test_shipped_sweep_draws(self, monkeypatch):
+        """Every draw of both shipped sweeps: bitwise distances, the verdict
+        of ``bfs_hops``, no neighbour table for a rejected draw, and the same
+        kept attempt as the reference loop."""
+        rejected = 0
+        for config in shipped_sweep_configs():
+            kept, draws = recorded_draws(monkeypatch, config)
+            assert draws[-1] is kept
+            for topology in draws:
+                assert np.array_equal(
+                    topology._dist, reference_distances(topology.positions)
+                )
+            for topology in draws[:-1]:
+                assert topology._neighbors == {}
+                assert not bfs_connected(topology, config.short_range)
+            assert bfs_connected(kept, config.short_range)
+            attempt, positions = reference_attempt(config)
+            assert len(draws) - 1 == attempt
+            assert np.array_equal(kept.positions, positions)
+            rejected += attempt
+        # 165 draws for the 50 placements, as the README states
+        assert rejected == 115
+
+    @given(positions=grid_placements(), range_m=st.sampled_from([0.0, 3.0, 5.0, 15.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_verdict_matches_bfs_on_grid_placements(self, positions, range_m):
+        topology = Topology(positions)
+        assert topology.connected(range_m) == bfs_connected(topology, range_m)
+
+    @pytest.mark.parametrize(
+        "positions, connected",
+        [
+            # the last node is isolated
+            ([[0, 0], [10, 0], [20, 0], [60, 60]], False),
+            # two clusters, every node with a neighbour, none across
+            ([[0, 0], [10, 0], [0, 10], [50, 0], [60, 0], [50, 10]], False),
+            # exactly the range apart: 9^2 + 12^2 = 15^2
+            ([[0, 0], [9, 12]], True),
+            ([[0, 0], [9, 12.000001]], False),
+            # a chain whose middle link is exactly the range
+            ([[0, 0], [10, 0], [25, 0], [30, 0]], True),
+            ([[0, 0], [0, 0]], True),
+        ],
+    )
+    def test_verdict_on_named_cases(self, positions, connected):
+        topology = Topology(np.array(positions, dtype=float))
+        assert topology.connected(15.0) is connected
+        assert bfs_connected(topology, 15.0) is connected
 
 
 class TestFlood:
