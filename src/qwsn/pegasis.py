@@ -35,6 +35,7 @@ from .sim import (
     SimConfig,
     Simulation,
     Topology,
+    active_range,
     build_topology,
     draw_failures,
     rx_energy,
@@ -67,6 +68,18 @@ class ComparisonRow:
     pegasis_packets: int
 
 
+def link_lengths(vectors: np.ndarray) -> np.ndarray:
+    """The length of each 2-vector along the last axis of ``vectors``.
+
+    Each is bitwise ``float(np.linalg.norm(v))``: that norm is the square
+    root of the BLAS dot of ``v`` with itself, which may fuse a multiply-add,
+    and a stacked matmul of each vector with itself runs the same dot.  The
+    forms ``(v * v).sum(-1)`` and ``einsum`` round differently on some
+    vectors.  (``np.vecdot`` matches too, but needs numpy 2.)
+    """
+    return np.sqrt(np.matmul(vectors[..., None, :], vectors[..., :, None])[..., 0, 0])
+
+
 def build_chain(
     positions: np.ndarray,
     alive: Sequence[bool],
@@ -75,27 +88,27 @@ def build_chain(
     """Greedy nearest-neighbour chain over the alive nodes.
 
     Construction starts from the alive node farthest from the base station
-    and repeatedly appends the nearest not-yet-chained node, the standard
+    (ties to the larger id) and repeatedly appends the nearest
+    not-yet-chained node (ties to the smaller id), the standard
     chain-building rule for this protocol family.
     """
-    remaining = [i for i in range(len(positions)) if alive[i]]
-    if not remaining:
+    free = np.array(alive, dtype=bool)
+    remaining = np.flatnonzero(free)
+    if not remaining.size:
         raise ValueError("cannot build a chain with no alive nodes")
-    bs = np.asarray(bs_position, dtype=float)
-    start = max(
-        remaining,
-        key=lambda i: (float(np.linalg.norm(positions[i] - bs)), i),
-    )
+    # the base station as one more point: dist[i, j] = |p_i - p_j|, and the
+    # last column holds each node's distance to the base station
+    points = np.vstack([positions, np.asarray(bs_position, dtype=float)])
+    dist = link_lengths(points[:, None, :] - points[None, :, :])
+    to_bs = dist[remaining, -1]
+    start = int(remaining[len(remaining) - 1 - np.argmax(to_bs[::-1])])
     chain = [start]
-    remaining.remove(start)
-    while remaining:
-        tail = positions[chain[-1]]
-        nxt = min(
-            remaining,
-            key=lambda i: (float(np.linalg.norm(positions[i] - tail)), i),
-        )
+    free[start] = False
+    for _ in range(len(remaining) - 1):
+        candidates = np.flatnonzero(free)
+        nxt = int(candidates[np.argmin(dist[candidates, chain[-1]])])
         chain.append(nxt)
-        remaining.remove(nxt)
+        free[nxt] = False
     return chain
 
 
@@ -123,6 +136,7 @@ def run_pegasis_lifetime(
         alive[i] = False
 
     rx_cost = rx_energy(config.packet_bits, config.e_elec)
+    to_bs = link_lengths(positions - bs).tolist()
 
     def spend(i: int, amount: float) -> bool:
         nonlocal dissipated
@@ -162,9 +176,9 @@ def run_pegasis_lifetime(
             link(chain[i], chain[i + 1])
         for i in range(len(chain) - 1, leader_pos, -1):
             link(chain[i], chain[i - 1])
-        bs_dist = float(np.linalg.norm(positions[leader] - bs))
         if alive[leader] and spend(
-            leader, tx_energy(config.packet_bits, bs_dist, config.e_elec, config.eps_amp)
+            leader,
+            tx_energy(config.packet_bits, to_bs[leader], config.e_elec, config.eps_amp),
         ):
             packets += 1
         rounds += 1
@@ -228,7 +242,8 @@ def compare_case4(
 ) -> list[ComparisonRow]:
     """Lifetime table for both protocols on matched placements and failures:
     one row per failure fraction, both runs on ``config``'s topology."""
-    topology = build_topology(config)
+    # the query protocol floods and routes at the hybrid class's range only
+    topology = build_topology(config, active_range(config, QosClass.DELAY_RELIABLE))
     rows = []
     for fraction in fractions:
         row_config = replace(config, failure_fraction=fraction)

@@ -14,9 +14,9 @@ table does not store.  A reply's own fields travel on the engine's one
 record of each reply copy, :class:`qwsn.sim.ReplyCopy`.
 
 Rows are frozen values.  A FIT itself is a node's own mutable table:
-:func:`apply_data_req` updates it in place, because every flood reception
-goes through it, and resets the table's cached hop order.  No other
-function changes a table: :func:`remove_failed` and
+:func:`apply_data_req` updates it in place, because every flood wave's
+receptions at a node go through it, and resets the table's cached hop
+order.  No other function changes a table: :func:`remove_failed` and
 :func:`prune_low_energy` return a copy only when they drop a row, and
 otherwise their argument.
 """
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import attrgetter
 
 # Hop counts travel in a 16-bit advert field; this sentinel is the largest
 # encodable value and exceeds any achievable hop count at supported network
@@ -81,6 +82,9 @@ class FitEntry:
             _check_node_id(f, "forwarder id")
 
 
+_HOP_ORDER = attrgetter("hop", "neighbor")
+
+
 @dataclass
 class Fit:
     """Forwarding information table: neighbour rows plus the node's hop count.
@@ -105,7 +109,7 @@ class Fit:
         order = self._by_hop
         if order is None:
             order = self._by_hop = tuple(
-                sorted(self.entries.values(), key=lambda e: (e.hop, e.neighbor))
+                sorted(self.entries.values(), key=_HOP_ORDER)
             )
         return order
 
@@ -120,6 +124,13 @@ class FloodAction(Enum):
     DROPPED = "dropped"
 
 
+# The members as module constants: reading one from the Enum class is a
+# slow lookup, and the flood settles every receiver through this module.
+_UPDATED = FloodAction.UPDATED_AND_REBROADCAST
+_RECORDED = FloodAction.RECORDED
+_DROPPED = FloodAction.DROPPED
+
+
 def fit_bootstrap(self_id: int, is_sink: bool = False) -> Fit:
     """Fresh FIT for a node that has heard nothing yet.
 
@@ -130,34 +141,47 @@ def fit_bootstrap(self_id: int, is_sink: bool = False) -> Fit:
     return Fit(self_id=self_id, self_hop=0 if is_sink else HOP_INF, entries={})
 
 
-def apply_data_req(fit: Fit, row: FitEntry) -> tuple[Fit, FloodAction]:
-    """Apply one received DATA_REQ (the sender's row) in place; returns ``fit``.
+def apply_data_req(fit: Fit, *rows: FitEntry) -> tuple[Fit, FloodAction]:
+    """Apply one or more received DATA_REQs (the senders' rows) in place;
+    returns ``fit``.
 
-    Let the advertised hop count be L and the node's own be H.  The sender's
-    row is upserted unconditionally (energy, hop and forwarders refreshed),
-    so the node always knows its full neighbour set.  The stored row is the
-    advertised object itself, and the table's hop order is reset.  Then:
+    Let the first row's advertised hop count be L and the node's own be H.
+    Every row is upserted unconditionally, in order (energy, hop and
+    forwarders refreshed), so the node always knows its full neighbour set.
+    The stored row is the advertised object itself, and the table's hop
+    order is reset once.  The returned action is the first row's:
 
     * L+1 < H: the node found a shorter route; H becomes L+1 and the packet
       is rebroadcast.
     * L+1 = H: an equally good route is recorded; the node has already
       queued or sent its broadcast at hop H, so nothing more is sent.
     * L+1 > H: the sender is further from the sink, so the packet is dropped.
-    """
-    if row.neighbor == fit.self_id:
-        raise ValueError("a node cannot process its own DATA_REQ")
 
-    fit.entries[row.neighbor] = row
+    Several rows are one node's receptions in one flood wave, and must carry
+    one hop count, as a wave's adverts do.  Each later row is then
+    ``RECORDED``, or ``DROPPED`` when the first was, and the call leaves the
+    table as one call per row, in order, would.  A row with the node's own
+    id or another hop count raises ``ValueError``; the rows before it stay
+    stored.
+    """
+    self_id = fit.self_id
+    entries = fit.entries
+    hop = rows[0].hop
+    for row in rows:
+        if row.neighbor == self_id:
+            raise ValueError("a node cannot process its own DATA_REQ")
+        if row.hop != hop:
+            raise ValueError("the rows of one call must carry one hop count")
+        entries[row.neighbor] = row
     fit._by_hop = None
 
-    hop = row.hop
     candidate = hop + 1 if hop < HOP_INF else HOP_INF
     if candidate < fit.self_hop:
         fit.self_hop = candidate
-        return fit, FloodAction.UPDATED_AND_REBROADCAST
+        return fit, _UPDATED
     if candidate == fit.self_hop:
-        return fit, FloodAction.RECORDED
-    return fit, FloodAction.DROPPED
+        return fit, _RECORDED
+    return fit, _DROPPED
 
 
 def advert_from_fit(fit: Fit, energy: float) -> FitEntry:

@@ -42,9 +42,13 @@ once, on the reception that first gives it a hop count, so it goes in
 waves: the hop-h nodes broadcast at one instant, in the order their first
 receptions came, and every broadcast of a wave arrives one service time
 later.  A broadcast is delivered to the sender's alive neighbours in
-ascending id order, each reception handled in full before the next, so its
-receptions form one block at the wave's arrival time; the next wave's
-senders are the nodes those receptions gave a hop.
+ascending id order, so its receptions form one block at the wave's arrival
+time.  A reception changes only its receiver's battery and table, so the
+engine settles a wave per receiver, once, in the order of first receptions;
+the effects the receivers share keep reception order: the next wave's
+senders are the nodes the wave gave a hop, in the order it gave it, and the
+wave's charges to the run's dissipation and its trace lines go in reception
+order.
 Energy model: first-order radio,
 ``tx = e_elec*bits + eps_amp*bits*d^2`` and ``rx = e_elec*bits``; broadcasts
 transmit at the active range's power while unicasts spend amplifier energy
@@ -60,7 +64,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field, fields
 from heapq import heappop, heappush
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -70,6 +74,7 @@ import numpy as np
 from .protocol import (
     HOP_INF,
     Fit,
+    FitEntry,
     FloodAction,
     QosClass,
     advert_from_fit,
@@ -258,26 +263,30 @@ class Topology:
         return bool(reached.all())
 
 
-def build_topology(config: SimConfig) -> Topology:
-    """Seeded uniform placement, redrawn until connected at the short range.
+def build_topology(config: SimConfig, range_m: float | None = None) -> Topology:
+    """Seeded uniform placement, redrawn until connected at ``range_m``,
+    by default the short range.
 
     Connectivity at the short range implies connectivity at the long range,
-    so one placement serves all four service classes.  A draw is tested by
+    so one placement serves all four service classes; a run that uses one
+    range only may ask for that one.  A draw is tested by
     :meth:`Topology.connected`, a hop-by-hop expansion from the sink over the
     distance matrix, so a rejected draw builds no neighbour table; the kept
     placement builds its tables on first use.  Each rejection draws from a
     fresh substream; after 100 rejections the configuration is deemed
     unconnectable.
     """
+    if range_m is None:
+        range_m = config.short_range
     for attempt in range(_MAX_TOPOLOGY_ATTEMPTS):
         rng = np.random.default_rng([config.seed, _TOPO_STREAM, attempt])
         positions = rng.uniform(0.0, config.side, size=(config.n, 2))
         topology = Topology(positions)
-        if topology.connected(config.short_range):
+        if topology.connected(range_m):
             return topology
     raise TopologyUnconnectable(
         f"no connected placement in {_MAX_TOPOLOGY_ATTEMPTS} attempts "
-        f"(n={config.n}, side={config.side}, range={config.short_range})"
+        f"(n={config.n}, side={config.side}, range={range_m})"
     )
 
 
@@ -494,27 +503,46 @@ class Simulation:
         node.alive = False
         self._trace("node_died", node.id, -1, -1, reason)
 
-    def _debit(self, node: NodeState, amount: float) -> bool:
-        """Charge a node; the sink is externally powered and never charged.
+    def _debit(
+        self,
+        node: NodeState,
+        amount: float,
+        times: int = 1,
+        partial: dict[int, float] | None = None,
+    ) -> int:
+        """The one battery rule: charge an alive node ``amount`` up to
+        ``times`` times, one subtraction at a time, adding each charge to
+        ``dissipated``; returns the number of completed charges.
 
-        A node that cannot afford a charge spends what remains and dies
-        without completing the action, keeping dissipation equal to the sum
-        of all individual charges at all times.
+        The sink is externally powered and never charged.  A charge the node
+        can afford is subtracted, and a node left at 0 dies after that charge
+        completes.  A charge it cannot afford spends what remains, and the
+        node dies without completing it, keeping dissipation equal to the
+        sum of all individual charges; ``partial``, if given, records what
+        such a charge spent under the node's id.  A death is traced at once.
         """
         if node.id == SINK:
-            return True
-        if not node.alive:
-            return False
-        if node.energy >= amount:
-            node.energy -= amount
-            self.dissipated += amount
-            if node.energy <= 0.0:
-                self._kill(node, "energy_exhausted")
-            return True
-        self.dissipated += node.energy
-        node.energy = 0.0
-        self._kill(node, "energy_exhausted")
-        return False
+            return times
+        energy = node.energy
+        dissipated = self.dissipated
+        done = 0
+        while done < times:
+            if energy < amount:
+                if partial is not None:
+                    partial[node.id] = energy
+                dissipated += energy
+                energy = 0.0
+                break
+            energy -= amount
+            dissipated += amount
+            done += 1
+            if energy <= 0.0:
+                break
+        node.energy = energy
+        self.dissipated = dissipated
+        if energy <= 0.0:
+            self._kill(node, "energy_exhausted")
+        return done
 
     def _schedule(
         self, time: float, handler: Callable, node: int, data: object = None
@@ -578,12 +606,23 @@ class Simulation:
 
         A wave's senders broadcast at one instant, in the order they were
         queued; one service time later each broadcast reaches the sender's
-        alive neighbours in ascending id order, and a reception that gives
-        its node a hop count queues that node for the next wave.  Every
-        advert of a wave carries the same hop count, so only a node's first
-        reception lowers its hop and it is queued once.  A sender that died
-        since it was queued, or cannot pay for the broadcast, sends nothing,
-        and the flood ends with a wave that sends nothing.
+        alive neighbours in ascending id order.  Every advert of a wave
+        carries the same hop count, so only a node's first reception can
+        lower its hop, and such a reception queues the node for the next
+        wave.  A sender that died since it was queued, or cannot pay for the
+        broadcast, sends nothing, and the flood ends with a wave that sends
+        nothing.
+
+        A wave's receptions are settled per receiver, in the order of first
+        receptions: one battery pass over the receiver's receptions
+        (:meth:`_debit`) and one :func:`apply_data_req` call with the rows
+        it completed.  A reception touches only its receiver's battery and
+        table, so every node ends as handling the receptions one at a time
+        would.  Every completed reception adds the same charge to
+        ``dissipated``, so their order does not change the sum; a wave in
+        which a battery ran out, or whose trace is kept, is walked once more
+        in reception order (:meth:`_replay_wave`), which adds its charges
+        and writes its trace lines in that order.
 
         A run floods once, on fresh tables, so every advert carries the
         initial battery level; a run that has flooded, or was restored from a
@@ -595,6 +634,8 @@ class Simulation:
         nodes = self.nodes
         tx_cost, rx_cost = self._tx_cost_broadcast, self._rx_cost
         tracing = self._trace_lines is not None
+        neighbors, active_range = self.topology.neighbors, self.active_range
+        updated = FloodAction.UPDATED_AND_REBROADCAST
         senders = [nodes[SINK]]
         while senders:
             adverts = []
@@ -610,20 +651,74 @@ class Simulation:
             if not adverts:
                 break
             self.now = self.now + self.config.service_time
-            senders = []
+            # each receiver's rows, receivers in the order of first reception
+            heard: defaultdict[int, list[FitEntry]] = defaultdict(list)
             for row in adverts:
-                sender_id = row.neighbor
-                for node_id in self.topology.neighbors(sender_id, self.active_range):
-                    node = nodes[node_id]
-                    if not node.alive or not self._debit(node, rx_cost):
-                        continue
+                for node_id in neighbors(row.neighbor, active_range):
+                    heard[node_id].append(row)
+            dissipated = self.dissipated
+            lines = len(self._trace_lines) if tracing else 0
+            settled: dict[int, tuple[int, FloodAction | None]] = {}
+            partial: dict[int, float] = {}
+            senders = []
+            for node_id, rows in heard.items():
+                node = nodes[node_id]
+                if not node.alive:
+                    continue
+                done = self._debit(node, rx_cost, len(rows), partial)
+                action = None
+                if done:
                     old_hop = node.fit.self_hop
-                    node.fit, action = apply_data_req(node.fit, row)
+                    if done < len(rows):
+                        rows = rows[:done]
+                    node.fit, action = apply_data_req(node.fit, *rows)
                     assert node.fit.self_hop <= old_hop, "hop estimate must never worsen"
-                    if tracing:
-                        self._trace("flood_rx", sender_id, node_id, 0, action.value)
-                    if action is FloodAction.UPDATED_AND_REBROADCAST:
+                    if action is updated:
                         senders.append(node)
+                settled[node_id] = (done, action)
+            if partial or tracing:
+                self.dissipated = dissipated
+                if tracing:
+                    del self._trace_lines[lines:]  # the death lines, in receiver order
+                self._replay_wave(adverts, settled, partial)
+
+    def _replay_wave(
+        self,
+        adverts: list[FitEntry],
+        settled: dict[int, tuple[int, FloodAction | None]],
+        partial: dict[int, float],
+    ) -> None:
+        """Walk a settled wave's receptions in order: add each charge to
+        ``dissipated`` at its place and trace its death and ``flood_rx`` line.
+
+        ``settled`` maps each receiver alive when the wave arrived to its
+        completed receptions and the first one's action, and ``partial``
+        each receiver that could not afford a reception to what it spent.
+        """
+        nodes = self.nodes
+        rx_cost = self._rx_cost
+        seen: Counter[int] = Counter()  # each receiver's receptions so far
+        for row in adverts:
+            sender_id = row.neighbor
+            for node_id in self.topology.neighbors(sender_id, self.active_range):
+                outcome = settled.get(node_id)
+                if outcome is None:
+                    continue  # dead when the wave arrived
+                done, action = outcome
+                index = seen[node_id]
+                seen[node_id] = index + 1
+                if index < done:
+                    if node_id != SINK:
+                        self.dissipated += rx_cost
+                    last = index == done - 1
+                    if last and node_id not in partial and not nodes[node_id].alive:
+                        self._trace("node_died", node_id, -1, -1, "energy_exhausted")
+                    if index > 0 and action is not FloodAction.DROPPED:
+                        action = FloodAction.RECORDED
+                    self._trace("flood_rx", sender_id, node_id, 0, action.value)
+                elif index == done and node_id in partial:
+                    self.dissipated += partial[node_id]
+                    self._trace("node_died", node_id, -1, -1, "energy_exhausted")
 
     # ------------------------------------------------------------------
     # failures

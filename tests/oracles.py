@@ -13,6 +13,8 @@ engine's breadth-first pass must leave exactly what it leaves.
 :func:`bfs_hops` and :func:`reference_distances` are the placement oracles:
 hop distances by a plain breadth-first search over the neighbour lists, and
 the distance matrix as one ``(n, n, 2)`` difference array.
+:func:`reference_chain` builds the chain baseline's greedy chain one
+``np.linalg.norm`` at a time.
 """
 
 from __future__ import annotations
@@ -579,3 +581,24 @@ def reference_distances(positions):
     positions = np.asarray(positions, dtype=float)
     diff = positions[:, None, :] - positions[None, :, :]
     return np.sqrt((diff**2).sum(axis=-1))
+
+
+def reference_chain(positions, alive, bs_position):
+    """The greedy chain: start at the alive node farthest from the base
+    station (ties to the larger id), then append the nearest unchained alive
+    node to the tail (ties to the smaller id), lengths by ``np.linalg.norm``."""
+    bs = np.asarray(bs_position, dtype=float)
+    remaining = [i for i in range(len(positions)) if alive[i]]
+    farthest = max(
+        remaining, key=lambda i: (float(np.linalg.norm(positions[i] - bs)), i)
+    )
+    chain = [farthest]
+    remaining.remove(chain[0])
+    while remaining:
+        tail = positions[chain[-1]]
+        nearest = min(
+            remaining, key=lambda i: (float(np.linalg.norm(positions[i] - tail)), i)
+        )
+        chain.append(nearest)
+        remaining.remove(nearest)
+    return chain

@@ -114,8 +114,8 @@ def test_pair_selector_returns_decision_first(name):
 def test_flood_calls_the_wrapped_protocol_functions(monkeypatch):
     """The tracer's ``protocol.apply_data_req.calls`` and flood useful ratio
     read the wrappers it puts on ``qwsn.sim``'s module globals, so the flood
-    must call ``apply_data_req`` once per reception and ``advert_from_fit``
-    once per broadcast through them."""
+    must call ``apply_data_req`` through them once per receiver and wave with
+    a completed reception, and ``advert_from_fit`` once per broadcast."""
     calls = Counter()
 
     def counting(name):
@@ -132,7 +132,9 @@ def test_flood_calls_the_wrapped_protocol_functions(monkeypatch):
     config = qwsn.sim.SimConfig(n=20, side=30.0, seed=1)
     sim = qwsn.sim.Simulation(config, QosClass.NORMAL, collect_trace=True)
     sim.run_flood()
-    receptions = sum(line[1] == "flood_rx" for line in sim._trace_lines)
-    assert receptions > sim.flood_broadcasts > 0
-    assert calls["apply_data_req"] == receptions
+    receptions = [line for line in sim._trace_lines if line[1] == "flood_rx"]
+    # a wave's receptions share one time, and line[3] is the receiver
+    settled = {(line[0], line[3]) for line in receptions}
+    assert len(receptions) > len(settled) > sim.flood_broadcasts > 0
+    assert calls["apply_data_req"] == len(settled)
     assert calls["advert_from_fit"] == sim.flood_broadcasts

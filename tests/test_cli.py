@@ -212,6 +212,26 @@ class TestComparePegasis:
         assert fig8[0] == "failure_fraction\tcase4\tpegasis"
         assert len(fig8) == 3
 
+    def test_placement_is_tested_at_the_compare_range(self, tmp_path):
+        """A field too wide for the short range but connected at the compare
+        range, where the comparison floods and routes, is accepted."""
+        from qwsn.harness import compare_config, parse_scenario
+        from qwsn.sim import TopologyUnconnectable, build_topology
+
+        text = (
+            "compare_n=20\ncompare_side=200\ncompare_range=110\n"
+            "compare_e_init=0.01\ncompare_fractions=0.0\nbs_x=100\nbs_y=300\n"
+            "seeds=0\n"
+        )
+        with pytest.raises(TopologyUnconnectable):
+            build_topology(compare_config(parse_scenario(text), 0))
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(text)
+        out = tmp_path / "cmp"
+        code = main(["compare-pegasis", "--scenario", str(scenario), "--out", str(out)])
+        assert code == EXIT_OK
+        assert len((out / "pegasis_comparison.csv").read_text().splitlines()) == 2
+
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
 def test_import_starts_one_thread():

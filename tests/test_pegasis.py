@@ -5,10 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import reference_chain
 from qwsn.pegasis import (
     ComparisonRow,
     build_chain,
     compare_case4,
+    link_lengths,
     run_case4_lifetime,
     run_pegasis_lifetime,
 )
@@ -55,6 +57,39 @@ class TestBuildChain:
     def test_no_alive_nodes_rejected(self):
         with pytest.raises(ValueError):
             build_chain(np.zeros((3, 2)), [False] * 3, BS)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_reference_chain(self, seed):
+        rng = np.random.default_rng(seed)
+        if seed % 2:
+            positions = rng.uniform(0, 50, size=(60, 2))
+        else:
+            # grid points tie on many distances, to the base station too
+            positions = rng.integers(0, 6, size=(60, 2)).astype(float) * 10.0
+        alive = (rng.random(60) > 0.3).tolist()
+        bs = (25.0, 150.0) if seed < 4 else (20.0, 20.0)
+        expected = reference_chain(positions, alive, bs)
+        assert build_chain(positions, alive, bs) == expected
+
+
+class TestLinkLengths:
+    def test_bitwise_as_numpy_norm(self):
+        """The chain's lengths are bitwise what ``np.linalg.norm`` gives, so
+        chains and leader costs keep their bits (``einsum`` or ``(v*v).sum``
+        differ in the last bit on some pairs)."""
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            scale = float(np.exp(rng.uniform(np.log(50.0), np.log(1e4))))
+            points = rng.uniform(0.0, scale, size=(50, 2))
+            bs = points[-1]
+            pairs = link_lengths(points[:, None, :] - points[None, :, :])
+            expected = [
+                [float(np.linalg.norm(a - b)) for b in points] for a in points
+            ]
+            assert pairs.tolist() == expected
+            assert link_lengths(points - bs).tolist() == [
+                float(np.linalg.norm(a - bs)) for a in points
+            ]
 
 
 class TestPegasisLifetime:

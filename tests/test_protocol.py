@@ -79,6 +79,52 @@ class TestApplyDataReq:
             row(3, -1)
 
     @given(
+        start_hop=st.sampled_from([1, 3, 4, HOP_INF]),
+        known=st.dictionaries(
+            st.integers(min_value=1, max_value=8),
+            st.integers(min_value=0, max_value=6),
+            max_size=4,
+        ),
+        senders=st.lists(
+            st.integers(min_value=1, max_value=8), min_size=1, max_size=5, unique=True
+        ),
+        hop=st.integers(min_value=0, max_value=5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rows_of_one_wave_match_one_call_per_row(
+        self, start_hop, known, senders, hop
+    ):
+        tables = []
+        for _ in range(2):
+            fit = fit_bootstrap(9)
+            fit.self_hop = start_hop
+            for n, known_hop in known.items():
+                fit.entries[n] = FitEntry(n, 0.25, known_hop)
+            fit.by_hop  # a cached order that the call must reset
+            tables.append(fit)
+        rows = [row(s, hop) for s in senders]
+        single = [apply_data_req(tables[0], r)[1] for r in rows]
+        out, action = apply_data_req(tables[1], *rows)
+        assert out is tables[1]
+        # same rows, same dict order, same hop count, same hop order
+        assert list(out.entries.items()) == list(tables[0].entries.items())
+        assert out.self_hop == tables[0].self_hop
+        assert out.by_hop == tables[0].by_hop
+        assert action is single[0]
+        later = FloodAction.RECORDED
+        if action is FloodAction.DROPPED:
+            later = FloodAction.DROPPED
+        assert single[1:] == [later] * (len(rows) - 1)
+
+    def test_rows_must_carry_one_hop_count(self):
+        with pytest.raises(ValueError):
+            apply_data_req(fit_bootstrap(7), row(3, 2), row(4, 3))
+
+    def test_own_packet_among_rows_rejected(self):
+        with pytest.raises(ValueError):
+            apply_data_req(fit_bootstrap(7), row(3, 1), row(7, 1))
+
+    @given(
         start_hop=st.sampled_from([1, 4, HOP_INF]),
         known=st.dictionaries(
             st.integers(min_value=1, max_value=6),

@@ -526,6 +526,51 @@ class TestFloodMatchesEventReference:
         assert seen["flood_deaths"] > 0 and seen["instant"] > 0
         assert seen["dead_sink"] > 0 and seen["died_queued"] > 0
 
+    def test_a_battery_run_out_mid_wave_keeps_reception_order(self):
+        """Relays 1 and 2 broadcast in one wave.  Node 3 hears both, and
+        node 4, which cannot afford its reception, hears 1 between them.  So
+        node 3 settles first, but one of its charges comes after node 4's
+        partial charge, and ``dissipated`` must add them in that order."""
+        positions = [[0.0, 0.0], [12.0, 8.0], [12.0, -8.0], [16.0, 0.0], [12.0, 20.0]]
+        topology = Topology(np.array(positions))
+        assert [topology.neighbors(i, 15.0) for i in (1, 2)] == [(0, 3, 4), (0, 3)]
+        cfg = SimConfig(n=5, side=25.0)
+        sims = []
+        for _ in range(2):
+            sim = Simulation(
+                cfg, QosClass.NORMAL, topology=topology, collect_trace=True
+            )
+            # below the reception cost, and the two orders round apart
+            sim.nodes[4].energy = 3e-5
+            sims.append(sim)
+        reference_flood(sims[0])
+        sim = sims[1]
+        sim.run_flood()
+        assert flood_outcome(sim) == flood_outcome(sims[0])
+        second_wave = [
+            line[1:4]
+            for line in sim._trace_lines
+            if line[0] == 2 * cfg.service_time and line[1] != "broadcast"
+        ]
+        assert second_wave == [
+            ("flood_rx", 1, 0), ("flood_rx", 1, 3), ("node_died", 4, -1),
+            ("flood_rx", 2, 0), ("flood_rx", 2, 3),
+        ]
+        rx = rx_energy(BITS, E_ELEC)
+        tx = tx_energy(BITS, cfg.short_range, E_ELEC, EPS_AMP)
+
+        def total(second_wave_charges):
+            """The flood's charges added one at a time: the relays' receptions
+            and broadcasts, the second wave's receptions as given, then node
+            3's broadcast and the relays' receptions of it."""
+            dissipated = 0.0
+            for charge in [rx, rx, tx, tx, *second_wave_charges, tx, rx, rx]:
+                dissipated += charge
+            return dissipated
+
+        assert sim.dissipated == total([rx, 3e-5, rx])
+        assert sim.dissipated != total([rx, rx, 3e-5])  # node 3's charges first
+
 
 class TestUnicastWithAck:
     """The plain reliable class acknowledges every link transmission."""
@@ -1182,16 +1227,8 @@ class TestEngineInvariants:
     batteries.  A transmission is one heap entry, and queue wake-ups keep
     each source's copies together."""
 
-    def test_flood_waves_and_unfinished_copies(self, monkeypatch):
+    def test_flood_waves_and_unfinished_copies(self):
         seen = Counter()
-        apply = qwsn.sim.apply_data_req
-
-        def recording_apply(fit, row):
-            result = apply(fit, row)
-            seen[result[1]] += 1
-            return result
-
-        monkeypatch.setattr(qwsn.sim, "apply_data_req", recording_apply)
         rng = np.random.default_rng(25)
         for seed in range(30):
             n = int(rng.integers(5, 31))
@@ -1211,6 +1248,10 @@ class TestEngineInvariants:
                 check_engine_invariants(sim, seen)
                 sim.run_flood()
                 seen["broadcasts"] += check_flood_waves(sim)
+                seen["recorded"] += sum(
+                    line[1] == "flood_rx" and line[5] == FloodAction.RECORDED.value
+                    for line in sim._trace_lines
+                )
                 seen["flood_deaths"] += sim.dead_count
                 sim.inject_failures()
                 sim.deliver_replies()
@@ -1227,7 +1268,7 @@ class TestEngineInvariants:
             sim.run_reply_round(round_index)
         assert sim.dead_count > len(sim.failed_nodes)
         # the deleted branches' situations all occurred
-        assert seen[FloodAction.RECORDED] > 0
+        assert seen["recorded"] > 0
         assert seen["flushed"] > 0
         assert seen["dead_sender_timeouts"] > 0
         assert seen["broadcasts"] > 0 and seen["transmits"] > 0
